@@ -29,6 +29,7 @@ or under pytest alongside the other benches::
 
 import argparse
 import json
+import shutil
 import sys
 import tempfile
 import time
@@ -37,8 +38,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.fuzz import battery_descriptors, run_fuzz  # noqa: E402
-from repro.service import CampaignSpec, CampaignService  # noqa: E402
-from repro.store import ContentStore  # noqa: E402
+from repro.service import CampaignSpec, Coordinator, run_worker  # noqa: E402
 
 #: Acceptance target: the store-served generation campaign >= 2x faster
 #: than its cold run (CI floor 1.5x).  In practice the gap is larger —
@@ -64,12 +64,23 @@ def _generation_spec(descriptors) -> CampaignSpec:
     )
 
 
-def _run_generation(spec: CampaignSpec, store: ContentStore):
-    service = CampaignService(workers=None, store=store)
-    cid = service.submit(spec)
-    service.run_until_complete()
-    state = service.campaign(cid)
-    return state.aggregate().digest(), state.cached_shards
+def _quiet(*_args) -> None:
+    pass
+
+
+def _run_generation(spec: CampaignSpec, root: Path):
+    """Drain one generation through a fresh coordinator over ``root``
+    and its in-process worker — the single-host ``repro serve`` path."""
+    coordinator = Coordinator(root, log=_quiet)
+    cid = coordinator.submit(spec)
+    run_worker(coordinator, once=True, log=_quiet)
+    state = coordinator.campaign(cid)
+    return state.aggregate().digest(), state.cached_shards, coordinator.store
+
+
+def _forget_checkpoints(root: Path) -> None:
+    """Leave only the store, so a rerun is store-served, not resumed."""
+    shutil.rmtree(root / "checkpoints", ignore_errors=True)
 
 
 def measure(best_of: int = BEST_OF) -> dict:
@@ -82,23 +93,19 @@ def measure(best_of: int = BEST_OF) -> dict:
         with tempfile.TemporaryDirectory() as tmp:
             # Full closed-loop session (oracle + elimination), plus the
             # zero-dispatch warm rerun it must support.
-            session_store = ContentStore(Path(tmp) / "session-store")
+            session_root = Path(tmp) / "session"
             start = time.perf_counter()
             cold = run_fuzz(
-                PRESET,
-                seed=SEED,
-                shards=SHARDS,
-                store=session_store,
-                checkpoint_dir=Path(tmp) / "ck-cold",
+                PRESET, seed=SEED, shards=SHARDS, root=session_root
             )
             session_times.append(time.perf_counter() - start)
+            _forget_checkpoints(session_root)
             dispatched = []
             warm = run_fuzz(
                 PRESET,
                 seed=SEED,
                 shards=SHARDS,
-                store=session_store,
-                checkpoint_dir=Path(tmp) / "ck-warm",
+                root=session_root,
                 pre_trial=dispatched.append,
             )
             if warm.digest() != cold.digest():
@@ -120,12 +127,13 @@ def measure(best_of: int = BEST_OF) -> dict:
             trials = cold.n_trials
 
             # Campaign dispatch, cold vs store-served, in isolation.
-            store = ContentStore(Path(tmp) / "gen-store")
+            gen_root = Path(tmp) / "gen"
             start = time.perf_counter()
-            cold_digest, _ = _run_generation(spec, store)
+            cold_digest, _, _ = _run_generation(spec, gen_root)
             cold_times.append(time.perf_counter() - start)
+            _forget_checkpoints(gen_root)
             start = time.perf_counter()
-            warm_digest, cached = _run_generation(spec, store)
+            warm_digest, cached, store = _run_generation(spec, gen_root)
             warm_times.append(time.perf_counter() - start)
             if warm_digest != cold_digest:
                 raise AssertionError(

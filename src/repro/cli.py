@@ -201,7 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="service root (jobs/, results/, checkpoints/, store/)",
     )
-    serve.add_argument("--workers", type=int, default=None)
+    serve.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="trial processes per shard (default: REPRO_TRIAL_WORKERS)",
+    )
     serve.add_argument(
         "--once",
         action="store_true",
@@ -583,6 +588,22 @@ def _cmd_poison(args) -> int:
     return 0
 
 
+def _sleep_hook(delay: float):
+    """The ``--trial-delay`` pre-trial hook (``None`` when no delay).
+
+    A chaos knob that widens the SIGKILL window; every engine excludes
+    its pre-trial hook from fingerprints and store keys, so a delayed
+    run digests identically to an undelayed one.
+    """
+    if delay <= 0:
+        return None
+
+    def pre_trial(_index: int) -> None:
+        time.sleep(delay)
+
+    return pre_trial
+
+
 def _cmd_campaign(args) -> int:
     import hashlib
 
@@ -595,13 +616,6 @@ def _cmd_campaign(args) -> int:
     def factory():
         return PhysicalCore(preset(), seed=seed)
 
-    pre_trial = None
-    if args.trial_delay > 0:
-        delay = args.trial_delay
-
-        def pre_trial(_block_seed: int) -> None:
-            time.sleep(delay)
-
     assessments = stability_experiment(
         factory,
         args.address,
@@ -613,7 +627,7 @@ def _cmd_campaign(args) -> int:
         checkpoint_interval=args.interval,
         resume=not args.fresh,
         fingerprint_extra={"preset": args.preset, "seed": seed},
-        pre_trial=pre_trial,
+        pre_trial=_sleep_hook(args.trial_delay),
     )
     stable = sum(1 for a in assessments if a.stable)
     resumed = obs.resilience_event_counts().get("campaign_resume", 0)
@@ -631,13 +645,6 @@ def _cmd_campaign(args) -> int:
 def _cmd_fuzz(args) -> int:
     from repro.fuzz import run_fuzz
 
-    pre_trial = None
-    if args.trial_delay > 0:
-        delay = args.trial_delay
-
-        def pre_trial(_index: int) -> None:
-            time.sleep(delay)
-
     verdict = run_fuzz(
         args.preset,
         seed=args.seed,
@@ -645,7 +652,7 @@ def _cmd_fuzz(args) -> int:
         shards=args.shards,
         workers=args.workers,
         root=args.root,
-        pre_trial=pre_trial,
+        pre_trial=_sleep_hook(args.trial_delay),
         log=print,
     )
     for hypothesis in verdict.survivors:
@@ -680,7 +687,7 @@ def _cmd_serve(args) -> int:
         poll_seconds=args.poll,
         metrics_port=args.metrics_port,
         store_bytes=args.store_bytes,
-        trial_delay=args.trial_delay,
+        pre_trial=_sleep_hook(args.trial_delay),
         port=args.port,
         lease_seconds=args.lease_seconds,
     )
@@ -708,7 +715,7 @@ def _cmd_worker(args) -> int:
             poll_seconds=args.poll,
             retries=args.retries,
             workers=args.workers,
-            trial_delay=args.trial_delay,
+            pre_trial=_sleep_hook(args.trial_delay),
         )
     except LeaseQuarantinedError as exc:
         print(f"repro: worker quarantined: {exc}", file=sys.stderr)

@@ -20,8 +20,9 @@ geometries until a single candidate explains every observation.
   generation's programs run as service trials, aggregated into a
   :class:`~repro.service.aggregate.RecordListAggregate`;
 * :mod:`repro.fuzz.campaign` — the closed loop: generate → dispatch
-  through :class:`~repro.service.CampaignService` → eliminate →
-  generate again, checkpointed and store-served like any other tenant.
+  through a :class:`~repro.service.Coordinator` and an in-process
+  worker → eliminate → generate again, checkpointed and store-served
+  like any other tenant.
 
 See ``docs/MODELING.md`` §14 for the design and its soundness argument.
 """

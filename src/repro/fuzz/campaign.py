@@ -2,8 +2,10 @@
 
 :func:`run_fuzz` drives the whole reverse-engineering session.  Each
 **generation** is one :class:`~repro.service.campaign.CampaignSpec`
-(workload ``"fuzz"``) submitted through a
-:class:`~repro.service.CampaignService`: generation 0 is the
+(workload ``"fuzz"``) submitted to a
+:class:`~repro.service.coordinator.Coordinator` and drained by an
+in-process :func:`~repro.service.worker.run_worker` — the single-host
+``repro serve`` dispatch path: generation 0 is the
 deterministic probe battery, later generations are seeded random pools
 ranked by how finely their agreed-signature partitions split the
 current survivors.  Because every piece is deterministic given
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -37,7 +40,8 @@ from repro.fuzz.infer import (
     HypothesisLattice,
 )
 from repro.service.campaign import CampaignSpec
-from repro.service.scheduler import CampaignService
+from repro.service.coordinator import Coordinator
+from repro.service.worker import run_worker
 
 __all__ = [
     "FuzzVerdict",
@@ -156,6 +160,10 @@ class FuzzVerdict:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _quiet(*_args) -> None:
+    pass
+
+
 def run_fuzz(
     preset: str,
     *,
@@ -165,87 +173,80 @@ def run_fuzz(
     scale: int = 1,
     workers: Optional[Any] = None,
     root=None,
-    store=None,
-    checkpoint_dir=None,
     pre_trial: Optional[Callable[[int], None]] = None,
     log: Optional[Callable[[str], None]] = None,
 ) -> FuzzVerdict:
     """Reverse-engineer ``preset``'s geometry through the service.
 
-    ``root`` wires the standard service layout (``root/store`` content
-    store shared with every other tenant, ``root/checkpoints`` for
-    per-generation resume); ``store``/``checkpoint_dir`` override the
-    pieces individually.  ``scale`` shrinks the oracle's tables by the
-    usual divisor for fast smoke runs — the *lattice* always reasons at
-    full-size geometry, so only ``scale=1`` verdicts are meaningful
-    against :func:`true_hypothesis`.
+    ``root`` is a service root (``root/store`` content store shared
+    with every other tenant, ``root/checkpoints`` for per-generation
+    resume); without one the session runs over a temporary root and
+    caches nothing across calls.  ``scale`` shrinks the oracle's tables
+    by the usual divisor for fast smoke runs — the *lattice* always
+    reasons at full-size geometry, so only ``scale=1`` verdicts are
+    meaningful against :func:`true_hypothesis`.
     """
     PRESETS[preset]  # fail fast, with the registry's KeyError message
-    if root is not None:
-        from repro import store as repro_store
-        from repro.service.server import service_dirs
-
-        dirs = service_dirs(root)
-        if store is None:
-            store = repro_store.ContentStore(dirs["store"])
-            repro_store.configure_store(store)
-        if checkpoint_dir is None:
-            checkpoint_dir = dirs["checkpoints"]
-    service = CampaignService(
-        workers=workers,
-        store=store,
-        checkpoint_dir=checkpoint_dir,
-        pre_trial=pre_trial,
-    )
-    lattice = HypothesisLattice()
-    generations_run = 0
-    n_trials = 0
-    resumed = 0
-    cached = 0
-    for generation in range(generations):
-        descriptors = plan_generation(lattice, generation, seed)
-        spec = CampaignSpec(
-            name=f"fuzz-{preset}-g{generation}",
-            tenant="fuzz",
-            preset=preset,
-            scale=scale,
-            seed=seed,
-            n_blocks=len(descriptors),
-            shards=min(shards, len(descriptors)),
-            workload="fuzz",
-            params=json.dumps(
-                {"descriptors": descriptors}, sort_keys=True
-            ),
+    # Without a root, a scratch root: same dispatch path, nothing kept.
+    with tempfile.TemporaryDirectory(prefix="repro-fuzz-") as scratch:
+        coordinator = Coordinator(
+            scratch if root is None else root, log=_quiet
         )
-        cid = service.submit(spec)
-        service.run_until_complete()
-        state = service.campaign(cid)
-        aggregate = state.aggregate()
-        resumed += state.resumed_shards
-        cached += state.cached_shards
-        n_trials += aggregate.n_trials
-        generations_run += 1
-        for record in aggregate.records():
-            lattice.observe(
-                program_from_descriptor(record["descriptor"]),
-                record["hits"],
+        lattice = HypothesisLattice()
+        generations_run = 0
+        n_trials = 0
+        resumed = 0
+        cached = 0
+        for generation in range(generations):
+            descriptors = plan_generation(lattice, generation, seed)
+            spec = CampaignSpec(
+                name=f"fuzz-{preset}-g{generation}",
+                tenant="fuzz",
+                preset=preset,
+                scale=scale,
+                seed=seed,
+                n_blocks=len(descriptors),
+                shards=min(shards, len(descriptors)),
+                workload="fuzz",
+                params=json.dumps(
+                    {"descriptors": descriptors}, sort_keys=True
+                ),
             )
-        if log is not None:
-            log(
-                f"generation {generation}: {len(descriptors)} programs, "
-                f"{int(lattice.alive.sum())} hypotheses alive "
-                f"(resumed={state.resumed_shards} "
-                f"cached={state.cached_shards})"
+            cid = coordinator.submit(spec)
+            run_worker(
+                coordinator,
+                once=True,
+                workers=workers,
+                pre_trial=pre_trial,
+                log=_quiet,
             )
-        if lattice.converged:
-            break
-    return FuzzVerdict(
-        preset=preset,
-        seed=seed,
-        scale=scale,
-        generations_run=generations_run,
-        n_trials=n_trials,
-        survivors=lattice.survivors(),
-        resumed_shards=resumed,
-        cached_shards=cached,
-    )
+            state = coordinator.campaign(cid)
+            aggregate = state.aggregate()
+            resumed += state.resumed_shards
+            cached += state.cached_shards
+            n_trials += aggregate.n_trials
+            generations_run += 1
+            for record in aggregate.records():
+                lattice.observe(
+                    program_from_descriptor(record["descriptor"]),
+                    record["hits"],
+                )
+            if log is not None:
+                log(
+                    f"generation {generation}: {len(descriptors)} programs, "
+                    f"{int(lattice.alive.sum())} hypotheses alive "
+                    f"(resumed={state.resumed_shards} "
+                    f"cached={state.cached_shards})"
+                )
+            if lattice.converged:
+                break
+        return FuzzVerdict(
+            preset=preset,
+            seed=seed,
+            scale=scale,
+            generations_run=generations_run,
+            n_trials=n_trials,
+            survivors=lattice.survivors(),
+            resumed_shards=resumed,
+            cached_shards=cached,
+        )

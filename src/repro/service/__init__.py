@@ -20,21 +20,22 @@ service workload:
   run however the campaign was split; plus the record-preserving
   :class:`RecordListAggregate` for workloads whose consumers need raw
   per-trial records back (the fuzzer's inference step);
-* :mod:`repro.service.scheduler` — :class:`CampaignService`: N
-  concurrent campaigns with per-tenant fair-share scheduling over one
-  shared :class:`~repro.parallel.TrialPool` and one shared
-  :class:`~repro.store.ContentStore`, each campaign individually
-  checkpointed and resumable;
+* :mod:`repro.service.scheduler` — :class:`~repro.service.scheduler.
+  CampaignState` and its recovery: per-shard checkpoints and
+  store-served shards;
+* :mod:`repro.service.coordinator` / :mod:`repro.service.leases` /
+  :mod:`repro.service.worker` — the one dispatch path: a
+  :class:`Coordinator` owns the service root and hands out shards by
+  per-tenant fair share as deadline-and-retry leases with idempotent
+  completion; pull-based workers claim, run and upload.  Single-host
+  ``repro serve`` binds a worker to the coordinator in-process;
 * :mod:`repro.service.server` — the spool-directory front end behind
   ``repro serve`` / ``repro submit``;
-* :mod:`repro.service.transport` / :mod:`repro.service.leases` /
-  :mod:`repro.service.coordinator` / :mod:`repro.service.worker` — the
-  multi-host layer: SHA-256-framed JSON over stdlib HTTP, a
-  deadline-and-retry lease table with idempotent completion, the
-  ``repro serve --port`` coordinator, and the pull-based ``repro
-  worker --connect`` client.  The merged digest is bit-identical
-  whether a campaign ran single-host, across N workers, or through
-  worker SIGKILLs and network fault storms.
+* :mod:`repro.service.transport` — SHA-256-framed JSON over stdlib
+  HTTP, which ``repro serve --port`` and ``repro worker --connect``
+  put between the same coordinator and worker.  The merged digest is
+  bit-identical whether a campaign ran single-host, across N workers,
+  or through worker SIGKILLs and network fault storms.
 
 See MODELING.md §13 for the architecture and the sharding determinism
 contract, §14 for the fuzz workload riding on it, and §15 for the
@@ -57,8 +58,7 @@ from repro.service.campaign import (
 )
 from repro.service.coordinator import Coordinator, run_coordinator
 from repro.service.leases import Lease, LeaseTable
-from repro.service.scheduler import CampaignService
-from repro.service.server import load_jobs, pending_jobs, serve, submit_job
+from repro.service.server import pending_jobs, serve, submit_job
 from repro.service.transport import (
     CoordinatorServer,
     CoordinatorUnreachable,
@@ -76,7 +76,6 @@ from repro.service.workload import (
 
 __all__ = [
     "CampaignAggregate",
-    "CampaignService",
     "CampaignSpec",
     "Coordinator",
     "CoordinatorServer",
@@ -91,7 +90,6 @@ __all__ = [
     "TransportError",
     "Workload",
     "get_workload",
-    "load_jobs",
     "pending_jobs",
     "plan_shards",
     "register_workload",

@@ -332,10 +332,13 @@ def run_campaign(
     """Run a whole campaign shard by shard and merge the aggregates.
 
     The simple single-campaign entry point (the CLI bench and the
-    property tests use it); :class:`~repro.service.scheduler.
-    CampaignService` is the multi-tenant scheduler over the same
-    pieces.  With a ``store``, shard aggregates hit the persistent
-    cache: a warm re-run merges stored shards without running a trial.
+    property tests use it, and it is the reference digest of every
+    service test): no leases, no checkpoints, shards run in order in
+    this process.  The multi-tenant scheduler over the same pieces is
+    :class:`~repro.service.coordinator.Coordinator`, which ``repro
+    serve`` drains through a worker.  With a ``store``, shard aggregates
+    hit the persistent cache: a warm re-run merges stored shards without
+    running a trial.
     """
     aggregate_cls = spec.workload_impl().aggregate
     parts: List[Any] = []

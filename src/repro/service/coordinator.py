@@ -1,11 +1,16 @@
-"""The multi-host coordinator: leased shard dispatch over the wire.
+"""The campaign coordinator: leased shard dispatch over one service root.
 
-``repro serve --port N`` runs this instead of the in-process scheduler:
-the coordinator owns the service root (spool, results, checkpoints,
-content store) and the :class:`~repro.service.leases.LeaseTable`, and
-*workers own the compute* — pull-based ``repro worker --connect URL``
-processes claim shard leases, run the trials, and upload exact
-aggregates.  Nothing here executes a trial.
+Every ``repro serve`` runs one :class:`Coordinator`.  It owns the
+service root (spool, results, checkpoints, content store) and the
+:class:`~repro.service.leases.LeaseTable`, and *workers own the
+compute*: they claim shard leases, run the trials, and upload exact
+aggregates.  Nothing here executes a trial.  Where the worker runs is
+the only difference between the two deployments — single-host
+``repro serve`` binds :func:`~repro.service.worker.run_worker` to
+:meth:`Coordinator.call` in-process (no HTTP, no framing), while
+``repro serve --port N`` (:func:`run_coordinator`) serves the same
+:meth:`Coordinator.handle` over the wire to pull-based ``repro worker
+--connect URL`` processes.
 
 The robustness story is a layering of guarantees already proven
 one-host:
@@ -27,9 +32,8 @@ one-host:
   completion is quarantined to ``root/quarantine/`` and counted, never
   merged.
 
-Fair share across tenants uses the same least-dispatched ledger as
-:meth:`repro.service.scheduler.CampaignService._next_wave`, applied per
-claim instead of per wave.
+Fair share across tenants is one least-dispatched ledger, consulted
+per claim by :meth:`Coordinator._next_shard`.
 
 See MODELING.md §15 for the protocol, state machine and failure matrix.
 """
@@ -41,11 +45,12 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import store as repro_store
 from repro.ioutil import atomic_write_text
 from repro.obs import trace as obs
+from repro.resilience.checkpoint import CheckpointMismatch
 from repro.service.campaign import CampaignSpec, shard_store_key
 from repro.service.leases import (
     LeaseTable,
@@ -59,6 +64,7 @@ from repro.service.scheduler import (
 )
 from repro.service.server import (
     pending_jobs,
+    quarantine_job,
     service_dirs,
     submit_job,
     write_result,
@@ -135,17 +141,25 @@ class Coordinator:
                 return self.upload(payload)
             raise KeyError(endpoint)
 
+    def call(self, endpoint: str, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """:meth:`handle` under the transport client's name, so an
+        in-process worker (``run_worker(coordinator)``) drives this
+        coordinator with no HTTP and no framing."""
+        return self.handle(endpoint, payload)
+
     # -- campaign registry ---------------------------------------------------
 
     def submit(self, spec: CampaignSpec) -> str:
         """Register a campaign; idempotent per spec (same id, no-op).
 
-        Recovery happens here, through the exact helpers the in-process
-        scheduler uses: checkpointed shards restore, store-held shards
-        complete — both land in the lease table as pre-completed with
-        their canonical digests, so workers are only ever offered the
-        genuinely missing work.  The spec is also (re)written to the
+        Recovery happens here: checkpointed shards restore, store-held
+        shards complete — both land in the lease table as pre-completed
+        with their canonical digests, so workers are only ever offered
+        the genuinely missing work.  The spec is also (re)written to the
         spool, making a network submission as durable as a local one.
+        Raises :exc:`~repro.resilience.checkpoint.CheckpointMismatch`
+        when the campaign's checkpoint was written under a different
+        spec (e.g. another shard layout).
         """
         with self.lock:
             state = CampaignState(spec)
@@ -188,14 +202,38 @@ class Coordinator:
             return cid
 
     def scan_spool(self) -> int:
-        """Register every parseable spool job; returns how many are new."""
+        """Register every parseable spool job; returns how many are new.
+
+        A job whose checkpoint belongs to a different spec (resubmitted
+        with only ``shards`` changed: same campaign id, overwritten job
+        file) is quarantined to ``<job>.json.mismatch`` and counted as
+        ``spool_checkpoint_mismatch`` — it must not wedge every other
+        job on every restart.  Resubmitting the original layout (or
+        removing the checkpoint) makes it runnable again.
+        """
         with self.lock:
             new = 0
             for spec in pending_jobs(self.dirs["root"], log=self.log):
-                if spec.campaign_id() not in self._campaigns:
+                cid = spec.campaign_id()
+                if cid in self._campaigns:
+                    continue
+                try:
                     self.submit(spec)
-                    new += 1
+                except CheckpointMismatch as exc:
+                    quarantine_job(
+                        self.dirs["jobs"] / f"{cid}.json",
+                        ".mismatch",
+                        "spool_checkpoint_mismatch",
+                        f"checkpoint of another shard layout ({exc})",
+                        log=self.log,
+                    )
+                    continue
+                new += 1
             return new
+
+    def campaign(self, campaign_id: str) -> CampaignState:
+        with self.lock:
+            return self._campaigns[campaign_id]
 
     # -- the lease protocol --------------------------------------------------
 
@@ -225,7 +263,6 @@ class Coordinator:
             self._tenant_dispatched[tenant] = (
                 self._tenant_dispatched.get(tenant, 0) + 1
             )
-            state.dispatched += 1
             lo, hi = state.shards[lease.shard_index]
             return {
                 "work": {
@@ -375,19 +412,15 @@ class Coordinator:
 
 
 def run_coordinator(
-    root,
+    coordinator: Coordinator,
     *,
     port: int = 0,
     host: str = "127.0.0.1",
     once: bool = False,
     poll_seconds: float = 0.5,
-    lease_seconds: float = 30.0,
-    max_attempts: int = 6,
-    store_bytes: Optional[int] = None,
     linger_seconds: float = 2.0,
-    log=print,
 ) -> int:
-    """Serve the lease protocol over a spool root until drained/forever.
+    """Serve ``coordinator`` over HTTP until drained, or forever.
 
     ``port=0`` binds an ephemeral port; the chosen URL is written
     atomically to ``root/coordinator.json`` so workers (and the CI
@@ -395,19 +428,13 @@ def run_coordinator(
     every campaign is complete — after ``linger_seconds`` of continuing
     to answer ``/claim`` with ``complete: true``, so idle workers shut
     down cleanly instead of hitting a dead socket — or 1 when the queue
-    is stuck (a shard exhausted ``max_attempts``).  Metrics collection
-    is always on: the protocol port doubles as the ``/metrics`` scrape
+    is stuck (a shard exhausted its attempts).  Metrics collection is
+    always on: the protocol port doubles as the ``/metrics`` scrape
     target.
     """
     if obs.TRACER is None or obs.TRACER.metrics is None:
         obs.enable_tracing(collect_metrics=True)
-    coordinator = Coordinator(
-        root,
-        lease_seconds=lease_seconds,
-        max_attempts=max_attempts,
-        store_bytes=store_bytes,
-        log=log,
-    )
+    log = coordinator.log
     server = CoordinatorServer(coordinator, port=port, host=host)
     try:
         atomic_write_text(

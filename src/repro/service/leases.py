@@ -1,9 +1,8 @@
 """Shard leases: time-bounded exclusive claims with exact recovery.
 
-A distributed campaign cannot *assign* work the way the in-process
-scheduler does — a worker that claimed a shard may be SIGKILLed, lose
-its network, or stall indefinitely, and the coordinator can never tell
-which.  The classic answer is a **lease**: a claim expires unless
+A coordinator cannot simply *assign* work — a worker that claimed a
+shard may be SIGKILLed, lose its network, or stall indefinitely, and
+the coordinator can never tell which.  The classic answer is a **lease**: a claim expires unless
 renewed, an expired shard is requeued for someone else, and completion
 is idempotent so the original worker turning up late (or a duplicated
 upload) cannot corrupt the result.

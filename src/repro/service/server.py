@@ -11,32 +11,31 @@ is kill-proof, inspectable with ``ls``, and already crash-safe through
       store/        ...                  — the shared content-addressed store
       store-stats.json                   — store traffic snapshot (artifact)
 
-``repro submit`` drops a spec into ``jobs/``; ``repro serve`` polls the
-spool, submits every job whose result does not exist yet to a
-:class:`~repro.service.CampaignService`, runs the fleet to completion,
-and writes results atomically.  Job files are never deleted — *a result
-file existing* is the completion marker — so a SIGKILL at any instant
-leaves either (job, no result): resubmitted and resumed from its
-checkpoint on restart; or (job, result): done.  ``--once`` drains the
-spool and exits (the CI smoke mode); otherwise the loop polls forever.
+``repro submit`` drops a spec into ``jobs/``; ``repro serve`` registers
+every job whose result does not exist yet with the root's
+:class:`~repro.service.coordinator.Coordinator`, drains it through a
+worker (in-process, or remote with ``--port``), and writes results
+atomically.  Job files are never deleted — *a result file existing* is
+the completion marker — so a SIGKILL at any instant leaves either (job,
+no result): resubmitted and resumed from its per-shard checkpoint on
+restart; or (job, result): done.  ``--once`` drains the spool and exits
+(the CI smoke mode); otherwise the service polls forever.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro import store as repro_store
 from repro.ioutil import atomic_write_text
 from repro.obs import trace as obs
 from repro.service.campaign import CampaignSpec
-from repro.service.scheduler import CampaignService
 
 __all__ = [
-    "load_jobs",
     "pending_jobs",
+    "quarantine_job",
     "serve",
     "service_dirs",
     "submit_job",
@@ -73,19 +72,38 @@ def submit_job(root: Union[str, Path], spec: CampaignSpec) -> Path:
     return path
 
 
+def quarantine_job(
+    path: Path, suffix: str, event: str, reason: str, *, log=None
+) -> None:
+    """Rename a job file that can never run out of the spool glob.
+
+    Counted on the always-on ``event`` resilience counter and warned
+    about via ``log``.  Quarantining rather than skipping matters for
+    the polling loop: a skipped-but-present bad file would be re-read
+    (and re-logged) every poll forever.
+    """
+    quarantine = path.with_name(path.name + suffix)
+    try:
+        path.rename(quarantine)
+    except OSError:  # pragma: no cover - racing unlink
+        return
+    obs.record_resilience_event(event, detail=path.name)
+    if log is not None:
+        log(
+            f"warning: job {path.name} quarantined to "
+            f"{quarantine.name}: {reason}"
+        )
+
+
 def pending_jobs(
     root: Union[str, Path], *, log=None
 ) -> List[CampaignSpec]:
     """Specs queued in the spool whose results do not exist yet.
 
     A job file that fails to parse — torn partial write from a
-    non-atomic client, foreign file, hand-edited JSON — is *quarantined*
-    (renamed to ``<job>.json.corrupt``, out of every future glob),
-    counted on the always-on ``spool_corrupt`` resilience counter, and
-    warned about via ``log``; it can never crash or wedge the service
-    loop.  Quarantining rather than skipping matters for the polling
-    loop: a skipped-but-present bad file would be re-parsed (and
-    re-logged) every poll forever.
+    non-atomic client, foreign file, hand-edited JSON — is quarantined
+    to ``<job>.json.corrupt`` and counted as ``spool_corrupt``
+    (:func:`quarantine_job`); it can never crash or wedge the service.
     """
     dirs = service_dirs(root)
     specs = []
@@ -95,25 +113,11 @@ def pending_jobs(
         try:
             specs.append(CampaignSpec.from_json(path.read_text()))
         except (ValueError, KeyError, TypeError) as exc:
-            quarantine = path.with_name(path.name + ".corrupt")
-            try:
-                path.rename(quarantine)
-            except OSError:  # pragma: no cover - racing unlink
-                continue
-            obs.record_resilience_event(
-                "spool_corrupt", detail=path.name
+            quarantine_job(
+                path, ".corrupt", "spool_corrupt", f"malformed: {exc}",
+                log=log,
             )
-            if log is not None:
-                log(
-                    f"warning: malformed job {path.name} quarantined "
-                    f"to {quarantine.name}: {exc}"
-                )
     return specs
-
-
-def load_jobs(root: Union[str, Path]) -> List[CampaignSpec]:
-    """Back-compat alias of :func:`pending_jobs` (no warn log)."""
-    return pending_jobs(root)
 
 
 def write_result(
@@ -139,6 +143,34 @@ def write_store_stats(
     )
 
 
+class _SpoolWorkerClient:
+    """The single-host worker's client: the coordinator, in-process.
+
+    Calls go straight to :meth:`~repro.service.coordinator.Coordinator.
+    call`.  A claim that finds no work first rescans the spool — the
+    in-process form of :func:`~repro.service.coordinator.
+    run_coordinator`'s poll — so jobs queued mid-run are served before
+    a ``--once`` worker hears that the queue drained; an idle claim
+    after new uploads also refreshes ``store-stats.json``.
+    """
+
+    def __init__(self, coordinator) -> None:
+        self.coordinator = coordinator
+        self._stats_stale = False
+
+    def call(self, endpoint: str, payload: Dict[str, Any]) -> Dict[str, Any]:
+        reply = self.coordinator.call(endpoint, payload)
+        if endpoint == "upload":
+            self._stats_stale = True
+        elif endpoint == "claim" and reply["work"] is None:
+            if self.coordinator.scan_spool():
+                return self.coordinator.call(endpoint, payload)
+            if self._stats_stale:
+                self.coordinator.write_store_stats()
+                self._stats_stale = False
+        return reply
+
+
 def serve(
     root: Union[str, Path],
     *,
@@ -147,104 +179,70 @@ def serve(
     poll_seconds: float = 0.5,
     metrics_port: Optional[int] = None,
     store_bytes: Optional[int] = None,
-    trial_delay: float = 0.0,
+    pre_trial: Optional[Callable[[int], None]] = None,
     port: Optional[int] = None,
     lease_seconds: float = 30.0,
     log=print,
 ) -> int:
     """Run the campaign service over a spool directory.
 
-    Drains ``root/jobs`` batch by batch: each batch of pending jobs is
-    submitted to a fresh :class:`CampaignService` sharing the root's
-    persistent store and checkpoint directory, run to completion, and
-    its results written.  ``once`` exits when the spool is empty
-    (returns 0); otherwise the loop polls forever.  ``metrics_port``
-    starts the :mod:`repro.obs.http` endpoint (port 0 picks a free
-    port) and enables metrics collection for the process.
+    One :class:`~repro.service.coordinator.Coordinator` owns the root's
+    spool, results, checkpoints and store, and dispatches its shards by
+    fair-share leases.  ``port`` decides only where the worker runs:
 
-    ``trial_delay`` sleeps inside every trial — the chaos knob the CI
-    SIGKILL smoke uses to widen the kill window; it is excluded from
-    every fingerprint and store key, so a delayed-then-killed campaign
-    resumes to the undelayed reference digest.
-
-    ``port`` switches the service into **coordinator mode** (see
-    :mod:`repro.service.coordinator`): instead of running trials
-    locally, it serves the lease protocol on ``http://host:port`` and
-    pull-based ``repro worker --connect`` processes do the computing.
-    ``workers`` and ``trial_delay`` are local-execution knobs and are
-    ignored there (workers bring their own).
+    * without ``port`` this process is the worker too —
+      :func:`~repro.service.worker.run_worker` bound to the coordinator
+      in-process, no HTTP and no framing, running each shard's trials
+      over a ``workers``-process :class:`~repro.parallel.TrialPool`.
+      ``once`` returns 0 when the spool is drained; otherwise the
+      worker polls every ``poll_seconds`` forever.  ``metrics_port``
+      starts the :mod:`repro.obs.http` endpoint (port 0 picks a free
+      port) and enables metrics collection.  ``pre_trial`` runs inside
+      every trial — the CI SIGKILL smoke passes a sleep to widen the
+      kill window; it is excluded from every fingerprint and store key,
+      so a delayed-then-killed campaign resumes to the undelayed
+      reference digest;
+    * with ``port`` the coordinator serves the lease protocol on
+      ``http://127.0.0.1:port`` (:func:`~repro.service.coordinator.
+      run_coordinator`) and pull-based ``repro worker --connect``
+      processes do the computing; ``workers``, ``metrics_port`` and
+      ``pre_trial`` are ignored (workers bring their own).
     """
-    if port is not None:
-        from repro.service.coordinator import run_coordinator
+    from repro.service.coordinator import Coordinator, run_coordinator
+    from repro.service.worker import run_worker
 
+    coordinator = Coordinator(
+        root, lease_seconds=lease_seconds, store_bytes=store_bytes, log=log
+    )
+    if port is not None:
         return run_coordinator(
-            root,
-            port=port,
-            once=once,
-            poll_seconds=poll_seconds,
-            lease_seconds=lease_seconds,
-            store_bytes=store_bytes,
-            log=log,
+            coordinator, port=port, once=once, poll_seconds=poll_seconds
         )
 
-    dirs = service_dirs(root)
-    store = repro_store.ContentStore(
-        dirs["store"],
-        max_bytes=(
-            store_bytes if store_bytes is not None
-            else repro_store.DEFAULT_MAX_BYTES
-        ),
-    )
-    # Default-store wiring: forked shard workers inherit it, giving the
-    # compiled-block LRU its persistent tier inside every worker.
-    repro_store.configure_store(store)
+    # Default-store wiring: every trial, in this process or a forked
+    # trial process, gets the compiled-block LRU's persistent tier.
+    repro_store.configure_store(coordinator.store)
 
     metrics_server = None
     if metrics_port is not None:
-        from repro.obs import trace as obs_trace
         from repro.obs.http import MetricsServer
 
-        if obs_trace.TRACER is None or obs_trace.TRACER.metrics is None:
-            obs_trace.enable_tracing(collect_metrics=True)
+        if obs.TRACER is None or obs.TRACER.metrics is None:
+            obs.enable_tracing(collect_metrics=True)
         metrics_server = MetricsServer(port=metrics_port)
         log(f"serving metrics on http://127.0.0.1:{metrics_server.port}/metrics")
 
-    pre_trial = None
-    if trial_delay > 0:
-
-        def pre_trial(index: int) -> None:
-            time.sleep(trial_delay)
-
     try:
-        while True:
-            specs = pending_jobs(root, log=log)
-            if not specs:
-                if once:
-                    break
-                time.sleep(poll_seconds)
-                continue
-            service = CampaignService(
-                workers=workers,
-                store=store,
-                checkpoint_dir=dirs["checkpoints"],
-                pre_trial=pre_trial,
-            )
-            for spec in specs:
-                cid = service.submit(spec)
-                state = service.campaign(cid)
-                log(
-                    f"campaign {cid} tenant={spec.tenant} "
-                    f"shards={len(state.shards)} "
-                    f"resumed={state.resumed_shards} "
-                    f"cached={state.cached_shards}"
-                )
-            for cid, result in service.run_until_complete().items():
-                write_result(dirs, cid, result)
-                log(f"campaign {cid} digest: {result['digest']}")
-            write_store_stats(dirs, store)
+        return run_worker(
+            _SpoolWorkerClient(coordinator),
+            once=once,
+            poll_seconds=poll_seconds,
+            workers=workers,
+            pre_trial=pre_trial,
+            log=log,
+        )
     finally:
-        write_store_stats(dirs, store)
+        coordinator.write_store_stats()
         if metrics_server is not None:
             metrics_server.close()
         repro_store.configure_store(None)
-    return 0

@@ -1,7 +1,13 @@
-"""The pull-based campaign worker behind ``repro worker --connect``.
+"""The pull-based campaign worker: ``repro worker`` and ``repro serve``.
 
 A worker is the simplest possible citizen of the lease protocol: a
 loop of *claim → run → upload*, carrying no durable state of its own.
+It talks to its coordinator through anything with ``call(endpoint,
+payload)``: a :class:`~repro.service.transport.TransportClient` over
+HTTP (``repro worker --connect URL``), or the coordinator itself bound
+in-process (single-host ``repro serve``), so both deployments share
+one dispatch path.
+
 Everything that makes the fleet robust lives elsewhere — the
 coordinator's lease table absorbs worker crashes, the transport client
 absorbs network faults, and the exact aggregates make any schedule of
@@ -19,7 +25,7 @@ What the worker *does* own:
   harmless;
 * **degradation** — when the coordinator is unreachable past the
   transport's retries, a worker given ``--root`` falls back to
-  draining that local spool with the in-process service (counted as a
+  draining that local spool with single-host ``serve`` (counted as a
   ``worker_degrade_local`` resilience event): the fleet losing its
   coordinator degrades to N independent single-host services, not to
   idleness;
@@ -39,6 +45,7 @@ import time
 from typing import Any, Callable, Dict, Optional
 
 from repro.obs import trace as obs
+from repro.parallel import TrialPool
 from repro.service.campaign import CampaignSpec, run_shard
 from repro.service.transport import (
     CoordinatorUnreachable,
@@ -57,24 +64,24 @@ def default_worker_id() -> str:
 
 
 def _renewing_pre_trial(
-    client: TransportClient,
+    client,
     lease_id: str,
     worker_id: str,
     lease_seconds: float,
-    *,
-    trial_delay: float = 0.0,
+    inner: Optional[Callable[[int], None]] = None,
 ) -> Callable[[int], None]:
     """A ``run_shard`` pre-trial hook that keeps the lease alive.
 
-    Renews every ``lease_seconds / 3`` — early enough that one missed
-    renewal (a transport fault) still leaves two chances before expiry.
+    Runs the caller's ``inner`` hook first, then renews every
+    ``lease_seconds / 3`` — early enough that one missed renewal (a
+    transport fault) still leaves two chances before expiry.
     """
     interval = max(lease_seconds / 3.0, 0.05)
     last = [time.monotonic()]
 
-    def pre_trial(_index: int) -> None:
-        if trial_delay > 0:
-            time.sleep(trial_delay)
+    def pre_trial(index: int) -> None:
+        if inner is not None:
+            inner(index)
         now = time.monotonic()
         if now - last[0] < interval:
             return
@@ -92,7 +99,7 @@ def _renewing_pre_trial(
 
 
 def run_worker(
-    connect: str,
+    connect,
     *,
     worker_id: Optional[str] = None,
     root=None,
@@ -100,17 +107,21 @@ def run_worker(
     poll_seconds: float = 0.5,
     retries: int = 5,
     workers: Optional[Any] = None,
-    trial_delay: float = 0.0,
+    pre_trial: Optional[Callable[[int], None]] = None,
     fault_injector=None,
     log=print,
 ) -> int:
     """Claim, run and upload shards from the coordinator at ``connect``.
 
-    Returns the process exit code: with ``once``, 0 as soon as the
-    coordinator reports the queue drained; without it the loop serves
-    forever (campaigns submitted later included) until interrupted.
-    ``workers`` forks a supervised
-    :class:`~repro.parallel.TrialPool` per shard for the trials;
+    ``connect`` is the coordinator's URL, or an in-process coordinator
+    (anything with ``call(endpoint, payload)``; ``retries`` and
+    ``fault_injector`` then do not apply).  Returns the process exit
+    code: with ``once``, 0 as soon as the coordinator reports the queue
+    drained; without it the loop serves forever (campaigns submitted
+    later included) until interrupted.  Each shard's trials run over a
+    supervised ``workers``-process :class:`~repro.parallel.TrialPool`
+    (``None`` defers to ``REPRO_TRIAL_WORKERS``, default serial);
+    ``pre_trial`` runs inside every trial, before the lease renewal;
     ``fault_injector`` threads a
     :class:`~repro.resilience.NetworkFaultInjector` into the transport
     (the chaos suite's hook).  Raises
@@ -118,15 +129,15 @@ def run_worker(
     :exc:`~repro.service.transport.CoordinatorUnreachable` for the CLI
     to map to exit codes 4 / 5.
     """
-    client = TransportClient(
-        connect, retries=retries, fault_injector=fault_injector
+    client = (
+        TransportClient(
+            connect, retries=retries, fault_injector=fault_injector
+        )
+        if isinstance(connect, str)
+        else connect
     )
     me = worker_id if worker_id else default_worker_id()
-    pool = None
-    if workers is not None:
-        from repro.parallel import TrialPool
-
-        pool = TrialPool(workers)
+    pool = TrialPool(workers)
     had_contact = False
     try:
         while True:
@@ -149,7 +160,7 @@ def run_worker(
                 # worker outlives drains to serve future campaigns.
                 time.sleep(poll_seconds)
                 continue
-            _run_one(client, me, work, pool, trial_delay, log)
+            _run_one(client, me, work, pool, pre_trial, log)
     except CoordinatorUnreachable as exc:
         if root is not None:
             log(
@@ -165,7 +176,7 @@ def run_worker(
                 root,
                 workers=workers,
                 once=True,
-                trial_delay=trial_delay,
+                pre_trial=pre_trial,
                 log=log,
             )
         if once and had_contact:
@@ -177,24 +188,26 @@ def run_worker(
 
 
 def _run_one(
-    client: TransportClient,
+    client,
     me: str,
     work: Dict[str, Any],
     pool,
-    trial_delay: float,
+    pre_trial: Optional[Callable[[int], None]],
     log,
 ) -> None:
     """Run one leased shard end to end and upload its aggregate."""
     spec = CampaignSpec.from_dict(work["spec"])
     lo, hi = int(work["lo"]), int(work["hi"])
-    pre_trial = _renewing_pre_trial(
+    renewing_pre_trial = _renewing_pre_trial(
         client,
         str(work["lease_id"]),
         me,
         float(work.get("lease_seconds", 30.0)),
-        trial_delay=trial_delay,
+        pre_trial,
     )
-    aggregate = run_shard(spec, lo, hi, pool=pool, pre_trial=pre_trial)
+    aggregate = run_shard(
+        spec, lo, hi, pool=pool, pre_trial=renewing_pre_trial
+    )
     state = aggregate.to_state()
     reply = client.call(
         "upload",

@@ -40,7 +40,8 @@ from repro.fuzz.infer import (
 from repro.fuzz.oracle import PresetOracle
 from repro.service.aggregate import RecordListAggregate
 from repro.service.campaign import CampaignSpec
-from repro.service.scheduler import CampaignService
+from repro.service.coordinator import Coordinator
+from repro.service.worker import run_worker
 
 INTEL_PRESETS = ("skylake", "haswell", "sandy_bridge")
 
@@ -296,6 +297,10 @@ class TestPlanGeneration:
         assert scores == sorted(scores, reverse=True)
 
 
+def quiet(*args) -> None:
+    pass
+
+
 class TestServiceTenancy:
     """Fuzz generations are campaign-service tenants, with the full
     determinism contract: worker invariance, store serving, resume."""
@@ -307,21 +312,17 @@ class TestServiceTenancy:
         assert serial.survivors == forked.survivors
 
     def test_warm_store_rerun_dispatches_zero_trials(self, tmp_path):
-        from repro.store import ContentStore
+        import shutil
 
-        store = ContentStore(tmp_path / "store")
-        cold = run_fuzz(
-            "sandy_bridge",
-            seed=0,
-            store=store,
-            checkpoint_dir=tmp_path / "ck1",
-        )
+        cold = run_fuzz("sandy_bridge", seed=0, root=tmp_path)
+        # Keep only the store: the warm run must be store-served, not
+        # resumed from checkpoints.
+        shutil.rmtree(tmp_path / "checkpoints")
         dispatched = []
         warm = run_fuzz(
             "sandy_bridge",
             seed=0,
-            store=store,
-            checkpoint_dir=tmp_path / "ck2",
+            root=tmp_path,
             pre_trial=dispatched.append,
         )
         assert dispatched == []
@@ -343,14 +344,14 @@ class TestServiceTenancy:
             run_fuzz(
                 "sandy_bridge",
                 seed=0,
-                checkpoint_dir=tmp_path / "ck",
+                root=tmp_path,
                 workers=1,
                 pre_trial=die_midway,
             )
         resumed = run_fuzz(
             "sandy_bridge",
             seed=0,
-            checkpoint_dir=tmp_path / "ck",
+            root=tmp_path,
             workers=1,
         )
         assert resumed.resumed_shards > 0
@@ -371,11 +372,11 @@ class TestServiceTenancy:
         again = CampaignSpec.from_json(spec.to_json())
         assert again.params_dict()["descriptors"] == descriptors
 
-    def test_shard_layout_does_not_change_digest(self):
+    def test_shard_layout_does_not_change_digest(self, tmp_path):
         descriptors = battery_descriptors(0)[:6]
 
         def digest_with(shards):
-            service = CampaignService(workers=1)
+            coordinator = Coordinator(tmp_path / str(shards), log=quiet)
             spec = CampaignSpec(
                 name="fuzz-shards",
                 tenant="fuzz",
@@ -387,9 +388,12 @@ class TestServiceTenancy:
                     {"descriptors": descriptors}, sort_keys=True
                 ),
             )
-            cid = service.submit(spec)
-            service.run_until_complete()
-            return service.campaign(cid).aggregate().digest()
+            cid = coordinator.submit(spec)
+            assert (
+                run_worker(coordinator, once=True, workers=1, log=quiet)
+                == 0
+            )
+            return coordinator.campaign(cid).aggregate().digest()
 
         assert digest_with(1) == digest_with(3)
 

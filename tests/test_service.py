@@ -1,4 +1,4 @@
-"""Tests for ``repro.service`` — sharded campaigns, scheduler, spool, HTTP.
+"""Tests for ``repro.service`` — sharded campaigns, scheduling, spool, HTTP.
 
 The load-bearing property is **shard invariance**: a campaign split into
 any number of shards digests bit-identically to the unsharded run (RNG
@@ -29,17 +29,20 @@ from repro.parallel import TrialPool
 from repro.resilience.checkpoint import CheckpointMismatch
 from repro.service import (
     CampaignAggregate,
-    CampaignService,
     CampaignSpec,
+    Coordinator,
     HistogramSketch,
     MomentAccumulator,
-    load_jobs,
+    pending_jobs,
     plan_shards,
     run_campaign,
+    run_shard,
     run_trial,
+    run_worker,
     serve,
     submit_job,
 )
+from repro.service.transport import aggregate_state_digest
 from repro.store import ContentStore
 
 #: Small-but-nondegenerate campaign used throughout (7 trials so the
@@ -53,6 +56,37 @@ def small_spec(**overrides) -> CampaignSpec:
     params = dict(SMALL)
     params.update(overrides)
     return CampaignSpec(**params)
+
+
+def quiet(*args) -> None:
+    pass
+
+
+def run_claimed(coordinator: Coordinator, work) -> None:
+    """Run one claimed shard and upload it, as a worker would."""
+    spec = CampaignSpec.from_dict(work["spec"])
+    state = run_shard(spec, work["lo"], work["hi"]).to_state()
+    reply = coordinator.handle(
+        "upload",
+        {
+            "campaign": work["campaign"],
+            "shard": work["shard"],
+            "lease_id": work["lease_id"],
+            "worker": "test",
+            "state": state,
+            "digest": aggregate_state_digest(state),
+        },
+    )
+    assert reply["status"] == "accepted"
+
+
+def run_one_shard(coordinator: Coordinator) -> None:
+    run_claimed(coordinator, coordinator.claim("test")["work"])
+
+
+def drain(coordinator: Coordinator) -> None:
+    """Drain through the in-process worker (single-host ``serve``)."""
+    assert run_worker(coordinator, once=True, log=quiet) == 0
 
 
 class TestAccumulators:
@@ -200,80 +234,89 @@ class TestCampaignStore:
         assert ran == []  # same science, different tenant: shared entries
 
 
-class TestCampaignService:
-    def test_two_tenants_fair_share(self):
-        service = CampaignService(workers=1)
-        a = service.submit(small_spec(tenant="alpha", shards=4))
-        b = service.submit(
+class TestCoordinatorScheduling:
+    """The one scheduler, driven in-process as single-host ``serve`` is."""
+
+    def test_two_tenants_fair_share(self, tmp_path):
+        coord = Coordinator(tmp_path, log=quiet)
+        a = coord.submit(small_spec(tenant="alpha", shards=4))
+        b = coord.submit(
             small_spec(tenant="beta", name="b", seed=11, shards=2)
         )
-        # Capacity 1 per wave: the first two waves must serve the two
-        # tenants alternately, not drain alpha first.
-        service.run_wave()
-        service.run_wave()
-        assert service._tenant_dispatched == {"alpha": 1, "beta": 1}
-        results = service.run_until_complete()
-        assert set(results) == {a, b}
+        # The first two claims must serve the two tenants alternately,
+        # not drain alpha first.
+        first = coord.claim("test")["work"]
+        second = coord.claim("test")["work"]
+        assert coord._tenant_dispatched == {"alpha": 1, "beta": 1}
+        run_claimed(coord, first)
+        run_claimed(coord, second)
+        drain(coord)
+        results = {
+            cid: coord.campaign(cid).result() for cid in (a, b)
+        }
         assert results[a]["n_trials"] == 7
         assert results[a]["digest"] != results[b]["digest"]
 
-    def test_result_matches_plain_run(self):
+    def test_result_matches_plain_run(self, tmp_path):
         spec = small_spec(shards=3)
-        service = CampaignService(workers=1)
-        cid = service.submit(spec)
-        result = service.run_until_complete()[cid]
+        coord = Coordinator(tmp_path, log=quiet)
+        cid = coord.submit(spec)
+        drain(coord)
+        result = json.loads(
+            (tmp_path / "results" / f"{cid}.json").read_text()
+        )
         assert result["digest"] == run_campaign(spec, n_shards=1).digest()
         assert result["shards"] == 3
         assert result["tenant"] == "default"
 
-    def test_submit_is_idempotent(self):
-        service = CampaignService(workers=1)
+    def test_submit_is_idempotent(self, tmp_path):
+        coord = Coordinator(tmp_path, log=quiet)
         spec = small_spec()
-        assert service.submit(spec) == service.submit(spec)
-        assert len(service) == 1
+        assert coord.submit(spec) == coord.submit(spec)
+        assert len(coord.status()["campaigns"]) == 1
 
     def test_checkpoint_resume_after_partial_run(self, tmp_path):
         spec = small_spec(shards=4)
-        first = CampaignService(workers=1, checkpoint_dir=tmp_path / "ck")
+        first = Coordinator(tmp_path, log=quiet)
         cid = first.submit(spec)
-        first.run_wave()  # one shard done, checkpointed
+        run_one_shard(first)  # one shard done, checkpointed
         done_before = len(first.campaign(cid).done)
         assert done_before == 1
 
-        second = CampaignService(workers=1, checkpoint_dir=tmp_path / "ck")
+        second = Coordinator(tmp_path, log=quiet)
         assert second.submit(spec) == cid
         state = second.campaign(cid)
         assert state.resumed_shards == done_before
-        result = second.run_until_complete()[cid]
+        drain(second)
+        result = second.campaign(cid).result()
         assert result["resumed_shards"] == done_before
         assert result["digest"] == run_campaign(spec, n_shards=1).digest()
 
     def test_resume_rejects_changed_shard_layout(self, tmp_path):
         spec = small_spec(shards=2)
-        first = CampaignService(workers=1, checkpoint_dir=tmp_path / "ck")
+        first = Coordinator(tmp_path, log=quiet)
         first.submit(spec)
-        first.run_wave()
-        second = CampaignService(workers=1, checkpoint_dir=tmp_path / "ck")
+        run_one_shard(first)
+        second = Coordinator(tmp_path, log=quiet)
         with pytest.raises(CheckpointMismatch):
             second.submit(spec.with_shards(3))
-        # resume=False clears the stale checkpoint and starts over.
-        third = CampaignService(workers=1, checkpoint_dir=tmp_path / "ck")
-        cid = third.submit(spec.with_shards(3), resume=False)
-        assert third.campaign(cid).resumed_shards == 0
 
     def test_fully_cached_campaign_completes_at_submit(self, tmp_path):
         spec = small_spec(shards=2)
-        store = ContentStore(tmp_path / "store")
-        cold = CampaignService(workers=1, store=store)
+        cold = Coordinator(tmp_path, log=quiet)
         cid = cold.submit(spec)
-        reference = cold.run_until_complete()[cid]
+        drain(cold)
+        reference = cold.campaign(cid).result()
 
-        served = CampaignService(workers=1, store=store)
+        # Same store, no checkpoint: served, not resumed.
+        for ck in (tmp_path / "checkpoints").glob("*"):
+            ck.unlink()
+        served = Coordinator(tmp_path, log=quiet)
         assert served.submit(spec) == cid
         state = served.campaign(cid)
         assert state.complete
         assert state.cached_shards == 2
-        assert served.results()[cid]["digest"] == reference["digest"]
+        assert state.result()["digest"] == reference["digest"]
 
 
 class TestMetricsServer:
@@ -304,10 +347,10 @@ class TestSpool:
         spec = small_spec(name="queued")
         path = submit_job(tmp_path, spec)
         assert path.exists()
-        assert load_jobs(tmp_path) == [spec]
+        assert pending_jobs(tmp_path) == [spec]
         # Malformed spool entries are skipped, not fatal.
         (tmp_path / "jobs" / "broken.json").write_text("{nope")
-        assert load_jobs(tmp_path) == [spec]
+        assert pending_jobs(tmp_path) == [spec]
 
     def test_serve_once_drains_and_writes_results(self, tmp_path):
         root = tmp_path / "svc"
@@ -328,7 +371,7 @@ class TestSpool:
         ).digest()
         stats = json.loads((root / "store-stats.json").read_text())
         assert stats["puts"] >= 4  # two campaigns x two shards
-        assert load_jobs(root) == []  # completed jobs are not reloaded
+        assert pending_jobs(root) == []  # completed jobs are not reloaded
 
         # Warm restart over the same root: all shards come from the store.
         for path in results:
@@ -342,6 +385,45 @@ class TestSpool:
         )
         assert rerun["cached_shards"] == rerun["shards"]
         assert rerun["digest"] == by_name[rerun["name"]]["digest"]
+
+    def test_resharded_resubmission_is_quarantined_not_wedged(
+        self, tmp_path
+    ):
+        # A half-run campaign resubmitted with only ``shards`` changed
+        # keeps its campaign id and overwrites its job file; its
+        # checkpoint no longer matches.  Every restart must still drain
+        # the other jobs instead of raising on the stale one.
+        from repro import obs
+
+        root = tmp_path / "svc"
+        spec = small_spec(name="wedge", shards=4)
+        other = small_spec(name="other", tenant="beta", seed=11, shards=2)
+        submit_job(root, spec)
+        half = Coordinator(root, log=quiet)
+        half.submit(spec)
+        run_one_shard(half)
+        path = submit_job(root, spec.with_shards(2))
+        submit_job(root, other)
+        before = obs.resilience_event_counts().get(
+            "spool_checkpoint_mismatch", 0
+        )
+        logs = []
+        for _ in range(2):
+            assert serve(root, once=True, log=logs.append) == 0
+        assert not path.exists()
+        assert path.with_name(path.name + ".mismatch").exists()
+        assert any("quarantined" in line for line in logs)
+        assert (
+            obs.resilience_event_counts()["spool_checkpoint_mismatch"]
+            == before + 1
+        )
+        result = json.loads(
+            (root / "results" / f"{other.campaign_id()}.json").read_text()
+        )
+        assert result["digest"] == run_campaign(other).digest()
+        assert not (
+            root / "results" / f"{spec.campaign_id()}.json"
+        ).exists()
 
 
 @pytest.mark.slow
@@ -372,7 +454,7 @@ class TestServiceKillResume:
             stderr=subprocess.DEVNULL,
         )
         try:
-            # Kill as soon as the first wave has checkpointed: the
+            # Kill as soon as the first shard has checkpointed: the
             # surviving state is a partial campaign mid-flight.
             ckpt = root / "checkpoints" / f"{spec.campaign_id()}.ckpt"
             deadline = time.time() + 60

@@ -487,12 +487,12 @@ class TestDistributedCampaign:
         )
 
     def test_worker_quarantine_raises_terminal_error(self, tmp_path):
-        # While the worker is mid-shard (trial_delay stretches it), an
-        # impostor completes the same shard with a *valid but
-        # different* aggregate (a partial trial range).  The worker's
-        # honest upload then contradicts the recorded digest — the
-        # coordinator quarantines it and the worker must surface the
-        # terminal error (CLI exit 4), not swallow it.
+        # While the worker is mid-shard (a sleeping pre_trial hook
+        # stretches it), an impostor completes the same shard with a
+        # *valid but different* aggregate (a partial trial range).  The
+        # worker's honest upload then contradicts the recorded digest —
+        # the coordinator quarantines it and the worker must surface
+        # the terminal error (CLI exit 4), not swallow it.
         from repro.service.campaign import run_shard
 
         spec = small_spec(shards=1)
@@ -520,7 +520,9 @@ class TestDistributedCampaign:
             try:
                 with pytest.raises(LeaseQuarantinedError):
                     run_worker(
-                        server.url, once=True, trial_delay=0.15,
+                        server.url,
+                        once=True,
+                        pre_trial=lambda _index: time.sleep(0.15),
                         log=quiet,
                     )
             finally:
