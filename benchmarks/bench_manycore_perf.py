@@ -11,13 +11,13 @@ interleaved, best-of-N:
 * the per-trial ``process`` backend (numpy kernels pinned),
 * the ``manycore`` backend on the numpy kernel backend, and
 * the ``manycore`` backend on the best compiled kernel backend
-  (numba or cffi) when one can load.
+  (cffi) when it can load.
 
 Two gates: manycore/numpy must stay ``--min-speedup`` times faster than
 the per-trial path, and the compiled kernel backend must keep the
 manycore engine ``--min-kernel-speedup`` times faster still (skipped
 with a warning when no compiled backend is available — default CI jobs
-are numpy-only; the ``kernel-matrix`` job installs the compilers).  All
+are numpy-only; the ``kernel-matrix`` job installs cffi).  All
 assessment lists are compared for equality before any timing is trusted
 (the full differential proof lives in ``tests/test_kernels.py``).
 

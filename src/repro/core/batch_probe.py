@@ -58,7 +58,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.bpu.hashes import fold_history
+from repro.bpu.hashes import fold_history, index_function
 from repro.core.patterns import DecodedState, state_signatures
 from repro.core.support import batch_scan_supported
 from repro.cpu.core import PhysicalCore
@@ -73,8 +73,7 @@ __all__ = [
 # The support predicate (one shared home for every engine's gating
 # conditions, repro.core.support) is re-exported here because this
 # engine is its original owner and existing callers import it from
-# here.  Since the zoo landed it also covers the index-hash condition:
-# the inline `mixed % n` replay below is only exact for "mod" presets.
+# here.
 
 
 def _collect_hooks(
@@ -90,22 +89,18 @@ def _collect_hooks(
     sequence, so the pre-pass makes the identical calls in the identical
     order and records the outcome per (slot, address).
 
-    Returns ``(static, key, offset, size_bimodal, size_gshare)``, each of
-    shape ``(4, n_addresses)``; a ``None`` partition is encoded as the
-    whole table (offset 0, size ``n_entries``) so the index formula is
-    uniform.
+    Returns ``(static, key, offset, size)``, each of shape
+    ``(4, n_addresses)``; a ``None`` partition is encoded as size 0 (a
+    real partition is never empty), see :func:`_pht_index`.
     """
     n = len(addresses)
-    n_bimodal = core.predictor.bimodal.pht.n_entries
-    n_gshare = core.predictor.gshare.pht.n_entries
     static = np.zeros((4, n), dtype=bool)
     key = np.zeros((4, n), dtype=np.int64)
     offset = np.zeros((4, n), dtype=np.int64)
-    size_bimodal = np.full((4, n), n_bimodal, dtype=np.int64)
-    size_gshare = np.full((4, n), n_gshare, dtype=np.int64)
+    size = np.zeros((4, n), dtype=np.int64)
     stack = core.mitigations
     if len(stack) == 0:
-        return static, key, offset, size_bimodal, size_gshare
+        return static, key, offset, size
     for i in range(n):
         address = int(addresses[i])
         for slot in range(4):
@@ -116,9 +111,21 @@ def _collect_hooks(
             partition = stack.partition(spy)
             if partition is not None:
                 offset[slot, i] = partition.offset
-                size_bimodal[slot, i] = partition.size
-                size_gshare[slot, i] = partition.size
-    return static, key, offset, size_bimodal, size_gshare
+                size[slot, i] = partition.size
+    return static, key, offset, size
+
+
+def _pht_index(raw, offset, size, index, n_entries):
+    """Vectorised ``predictor.index``: the preset's hash over the whole
+    table, or ``offset + raw % size`` where a partition confines the
+    context (as :meth:`~repro.bpu.partition.Partition.confine` does)."""
+    whole = index(raw, n_entries)
+    confined = size > 0
+    if not confined.any():
+        return whole
+    return np.where(
+        confined, offset + raw % np.where(confined, size, 1), whole
+    )
 
 
 def _probe_variant(
@@ -143,7 +150,7 @@ def _probe_variant(
     bit = predictor.bit
     o = int(bool(outcome))
 
-    static_all, key_all, offset_all, size_b_all, size_g_all = hooks
+    static_all, key_all, offset_all, size_all = hooks
     levels_b = bimodal.levels
     levels_g = gshare.levels
     step_b = bimodal.fsm.step_table
@@ -151,14 +158,18 @@ def _probe_variant(
     h = predictor.ghr.value
     ghr_len = predictor.ghr.length
     ghr_mask = (1 << ghr_len) - 1
+    n_b = bimodal.n_entries
     n_g = gshare.n_entries
+    index = index_function(predictor.index_hash)
     hf = fold_history(h, ghr_len, n_g)
 
     # -- branch 1 -----------------------------------------------------------
     st1 = static_all[slot1]
     key1 = key_all[slot1]
-    bi1 = offset_all[slot1] + ((addresses ^ key1) % size_b_all[slot1])
-    gi1 = offset_all[slot1] + ((addresses ^ hf ^ key1) % size_g_all[slot1])
+    off1 = offset_all[slot1]
+    size1 = size_all[slot1]
+    bi1 = _pht_index(addresses ^ key1, off1, size1, index, n_b)
+    gi1 = _pht_index(addresses ^ hf ^ key1, off1, size1, index, n_g)
     lvl_b1 = levels_b[bi1]
     lvl_g1 = levels_g[gi1]
     bt1 = bimodal.fsm.predicts_array(lvl_b1)
@@ -191,8 +202,10 @@ def _probe_variant(
     # -- branch 2 -----------------------------------------------------------
     st2 = static_all[slot2]
     key2 = key_all[slot2]
-    bi2 = offset_all[slot2] + ((addresses ^ key2) % size_b_all[slot2])
-    gi2 = offset_all[slot2] + ((addresses ^ hf2 ^ key2) % size_g_all[slot2])
+    off2 = offset_all[slot2]
+    size2 = size_all[slot2]
+    bi2 = _pht_index(addresses ^ key2, off2, size2, index, n_b)
+    gi2 = _pht_index(addresses ^ hf2 ^ key2, off2, size2, index, n_g)
     lvl_b2 = np.where(updated1 & (bi2 == bi1), stepped_b1, levels_b[bi2])
     lvl_g2 = np.where(updated1 & (gi2 == gi1), stepped_g1, levels_g[gi2])
     bt2 = bimodal.fsm.predicts_array(lvl_b2)

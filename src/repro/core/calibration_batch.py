@@ -65,6 +65,12 @@ assessment, core-state and stream-position equality across presets and
 mitigation stacks, and plan-mode assessment equality against the scalar
 plan engine.
 
+Every attacker-branch PHT index goes through the preset's
+:mod:`repro.bpu.hashes` function, as in the scalar predictors, so the
+zoo's fold presets run this engine exactly like the Intel ones; noise
+branches, the selector and the identification table keep the plain
+modulo the scalar noise model and tables use.
+
 Exactness boundary (enforced by the caller's predicate): mitigations
 overriding ``perturb_counter`` or ``update_outcome`` make the
 observation itself stochastic and always fall back to the scalar
@@ -83,7 +89,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro import kernels
-from repro.bpu.hashes import fold_history
+from repro.bpu.hashes import fold_history, index_function
 from repro.core.calibration import BlockAssessment, TrialPlan, _dominant_counts
 from repro.core.randomizer import CompiledBlock
 from repro.cpu.core import PhysicalCore
@@ -281,7 +287,8 @@ def batch_assess(
         )
     else:
         static, outcomes, b_idx, g_idx, offsets, bulk = _closed_form(
-            plan, T, R, n_b, n_g, ghr_start, ghr_end, ghr_len
+            plan, T, R, n_b, n_g, ghr_start, ghr_end, ghr_len,
+            predictor.index_hash,
         )
 
     # Per-repetition aggregates of the bulk noise stream.
@@ -314,6 +321,8 @@ def batch_assess(
     # -- phase 2: tracked-entry table evolution -----------------------------
     executed = ~static
     step_noise = fsm_b.step_table  # noise steps both PHTs with this table
+    # Noise branches index the bimodal table by plain modulo whatever the
+    # preset's hash, as apply_noise_draw does.
     read_b = _read_levels(
         bimodal.levels,
         fsm_b.step_table,
@@ -461,6 +470,7 @@ def _stream_loop(core, spy, T, R, plan, noise, rng, ghr_end):
     n_slots = d + 2
     ghr_len = predictor.ghr.length
     ghr_mask = (1 << ghr_len) - 1
+    index = index_function(predictor.index_hash)
     R2 = 2 * R
 
     replay = plan is None
@@ -537,8 +547,8 @@ def _stream_loop(core, spy, T, R, plan, noise, rng, ghr_end):
                     row_b[j] = partition.confine(mixed)
                     row_g[j] = partition.confine(T ^ ghr_folded ^ key)
                 else:
-                    row_b[j] = mixed % n_b
-                    row_g[j] = (T ^ ghr_folded ^ key) % n_g
+                    row_b[j] = index(mixed, n_b)
+                    row_g[j] = index(T ^ ghr_folded ^ key, n_g)
                 ghr_val = ((ghr_val << 1) | int(outcomes[r, j])) & ghr_mask
             if replay:
                 cold = not warm
@@ -573,27 +583,31 @@ def _stream_loop(core, spy, T, R, plan, noise, rng, ghr_end):
     return static, outcomes, b_idx, g_idx, offsets, bulk
 
 
-def _closed_form(plan, T, R, n_b, n_g, ghr_start, ghr_end, ghr_len):
+def _closed_form(
+    plan, T, R, n_b, n_g, ghr_start, ghr_end, ghr_len, index_hash
+):
     """Loop-free phase-1 front-end for the unmitigated plan path.
 
-    Without mitigations every bimodal index is ``T % n_b`` and the GHR
-    value entering each slot is a closed-form function of the plan: the
-    block application pins it to ``ghr_end``, the repetition's noise
-    tail (if any) overwrites it, the probes shift in their outcomes, and
-    the next repetition's scrambles shift in on top — the pre-scramble
-    history never survives a repetition boundary.
+    Without mitigations every bimodal index is the target's own index
+    under the preset's ``index_hash``, and the GHR value entering each
+    slot is a closed-form function of the plan: the block application
+    pins it to ``ghr_end``, the repetition's noise tail (if any)
+    overwrites it, the probes shift in their outcomes, and the next
+    repetition's scrambles shift in on top — the pre-scramble history
+    never survives a repetition boundary.
     """
     R2 = 2 * R
     scrambles = plan.scrambles
     d = scrambles.shape[1]
     n_slots = d + 2
     mask = (1 << ghr_len) - 1
+    index = index_function(index_hash)
 
     outcomes = np.zeros((R2, n_slots), dtype=np.int8)
     outcomes[:, :d] = scrambles
     outcomes[:R, d:] = 1
     static = np.zeros((R2, n_slots), dtype=bool)
-    b_idx = np.full((R2, n_slots), T % n_b, dtype=np.int64)
+    b_idx = np.full((R2, n_slots), index(T, n_b), dtype=np.int64)
 
     offsets = plan.offsets
     gaps = offsets[1:] - offsets[:-1]
@@ -629,8 +643,8 @@ def _closed_form(plan, T, R, n_b, n_g, ghr_start, ghr_end, ghr_len):
     ghr_scramble = ((starts[:, None] << np.arange(d)) | prefix) & mask
 
     g_idx = np.zeros((R2, n_slots), dtype=np.int64)
-    g_idx[:, :d] = (T ^ fold_history(ghr_scramble, ghr_len, n_g)) % n_g
-    g_idx[:, d] = (T ^ fold_history(after_noise, ghr_len, n_g)) % n_g
+    g_idx[:, :d] = index(T ^ fold_history(ghr_scramble, ghr_len, n_g), n_g)
+    g_idx[:, d] = index(T ^ fold_history(after_noise, ghr_len, n_g), n_g)
     second = ((after_noise << 1) | outcomes[:, d]) & mask
-    g_idx[:, d + 1] = (T ^ fold_history(second, ghr_len, n_g)) % n_g
+    g_idx[:, d + 1] = index(T ^ fold_history(second, ghr_len, n_g), n_g)
     return static, outcomes, b_idx, g_idx, offsets, plan.bulk

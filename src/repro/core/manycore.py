@@ -131,19 +131,6 @@ def reset_group_batch_stats() -> None:
         _GROUP_STATS[key] = 0
 
 
-def _fast_mod(values: np.ndarray, n: int) -> np.ndarray:
-    """``values % n``, as a mask when ``n`` is a power of two.
-
-    The per-block summary reduces ~1e5 addresses per table; for the
-    power-of-two table sizes every preset uses, the bitwise AND is
-    several times cheaper than the integer modulo and exact for the
-    non-negative addresses the generator produces.
-    """
-    if n & (n - 1) == 0:
-        return values & (n - 1)
-    return values % n
-
-
 # ---------------------------------------------------------------------------
 # ManycoreState: the general struct-of-arrays container
 # ---------------------------------------------------------------------------
@@ -588,6 +575,7 @@ class _SharedStructure:
         self.R2 = R2
         self.n_b = bimodal.n_entries
         self.n_g = gshare.n_entries
+        self.index_hash = predictor.index_hash
         self.ghr_len = predictor.ghr.length
         self.target = T
         self.tb = predictor.bimodal.index(T, 0, None)
@@ -609,7 +597,7 @@ class _SharedStructure:
         # support predicate excludes, so a placeholder is exact here.
         static, outcomes, b_idx, g_idx, offsets, bulk = _closed_form(
             self.plan, T, R, self.n_b, self.n_g,
-            int(predictor.ghr.value), 0, self.ghr_len,
+            int(predictor.ghr.value), 0, self.ghr_len, self.index_hash,
         )
         self.outcomes = outcomes
         gaps = offsets[1:] - offsets[:-1]
@@ -633,7 +621,8 @@ class _SharedStructure:
             ) & self.tag_mask
         self.noise_tag = noise_tag
 
-        # Phase-2 node plans (one per PHT).
+        # Phase-2 node plans (one per PHT); noise branches index the
+        # bimodal table by plain modulo, as apply_noise_draw does.
         noise_epoch = epoch_of if total else np.empty(0, dtype=np.int64)
         self.plan_b = _NodePlan(
             self.monoid,
@@ -696,7 +685,7 @@ class _SharedStructure:
                     self.n_sel, self.tsel, self.n_sets, self.tset,
                     int(self.tag_mask), self.plan_g.n_tracked,
                     int(self.monoid.IDENTITY), self.block_branches,
-                    kernels.active_backend(),
+                    self.index_hash, kernels.active_backend(),
                 )
             ).encode()
         )
@@ -726,6 +715,7 @@ class _SharedStructure:
             block.outcomes,
             self._oid,
             self.monoid.compose_table,
+            self.index_hash,
             self.n_b,
             self.tb,
             self.n_g,
@@ -998,7 +988,7 @@ def manycore_supported(
     """Why the manycore closed-form engine is inexact for ``core``.
 
     Returns ``None`` when supported, else the fallback reason —
-    ``"mitigation"``, ``"index_hash"`` or ``"unshared_structure"``; the
+    ``"mitigation"`` or ``"unshared_structure"``; the
     conditions live in the shared predicate home,
     :func:`repro.core.support.manycore_fallback_reason`.
     """
@@ -1085,12 +1075,10 @@ class ManycoreCampaignPool:
         _GROUP_STATS["campaigns"] += 1
         template = self.core_factory()
         reason = manycore_supported(template)
-        if reason in ("mitigation", "index_hash"):
+        if reason == "mitigation":
             # Mitigation index/observation hooks must run inside the
             # caller's closure (they may be stateful across the whole
-            # trial), and a non-modulo preset's probe arithmetic is not
-            # this engine's; delegate wholesale either way — the trial
-            # closure's compiler is hash-aware.
+            # trial); delegate wholesale.
             self._mode = "fn"
             self._fallback_reason = reason
             return

@@ -49,7 +49,7 @@ from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from repro.bpu.hashes import _fold_shift
+from repro.bpu.hashes import history_fold_width
 
 __all__ = [
     "BranchProgram",
@@ -164,7 +164,7 @@ def battery_descriptors(seed: int = 0) -> List[Dict[str, Any]]:
     # Fold-designed probes: B = A ^ 2 ^ (2 << s) fold-collides at the
     # size whose fold shift is s, while mod always differs (bit 1 flips).
     for n in CANDIDATE_TABLE_SIZES:
-        s = _fold_shift(n)
+        s = history_fold_width(n)
         descs.append(_collision(_BASE, _BASE ^ 2 ^ (2 << s)))
     # High-bit additive probes: invisible to mod for every candidate
     # size, fold-visible only where the fold window still reaches.

@@ -4,13 +4,15 @@ Public surface::
 
     from repro import kernels
 
-    kernels.active_backend()            # "numpy" | "numba" | "cffi"
+    kernels.active_backend()            # "numpy" | "cffi"
     kernels.set_backend("cffi")         # runtime override (tests/benches)
     kernels.fold_ids(...)               # dispatched ops
     kernels.kernel_dispatch_counts()    # always-on per-backend counters
 
 Backend choice never changes results — see the determinism contract in
-:mod:`repro.kernels.dispatch` and MODELING.md §12.
+:mod:`repro.kernels.dispatch` and MODELING.md §12.  The numpy backend is
+the reference and the cffi backend the compiled path; both index the
+PHTs through the preset's :mod:`repro.bpu.hashes` function.
 """
 
 from .dispatch import (  # noqa: F401

@@ -30,6 +30,10 @@ NAME = "cffi"
 #: Environment knob for the compiled-extension cache directory.
 KERNEL_CACHE_ENV = "REPRO_KERNEL_CACHE"
 
+#: The integer each :mod:`repro.bpu.hashes` entry passes to the C
+#: ``repro_summarize_block`` as ``index_hash``.
+HASH_CODES = {"mod": 0, "fold": 1}
+
 _CDEF = """
 void repro_fold_ids(const int64_t *positions, const int64_t *ids,
                     int64_t n, const int64_t *ct, int64_t size,
@@ -40,7 +44,8 @@ int64_t repro_reduce_ids(const int64_t *ids, int64_t n,
 void repro_summarize_block(const int64_t *addresses,
                            const uint8_t *outcomes, int64_t n,
                            const int64_t *oid, const int64_t *ct,
-                           int64_t size, int64_t n_b, int64_t tb,
+                           int64_t size, int64_t index_hash,
+                           int64_t n_b, int64_t tb,
                            int64_t n_g, const int64_t *pos_table,
                            int64_t ghr_mask, int64_t n_sel,
                            int64_t tsel, int64_t n_sets, int64_t tset,
@@ -99,6 +104,24 @@ static inline int64_t repro_mod(int64_t a, int64_t n)
     return a % n;
 }
 
+/* Table index width floor(log2(n)), at least 1
+ * (repro.bpu.hashes.history_fold_width). */
+static inline int64_t repro_width(int64_t n)
+{
+    int64_t w = 0;
+    while (n > 1) { w++; n >>= 1; }
+    return w < 1 ? 1 : w;
+}
+
+/* The preset's PHT index (repro.bpu.hashes): XOR the address bits
+ * `shift` places up onto the low ones, then reduce.  "fold" (code 1)
+ * shifts by log2(n); "mod" (code 0) shifts by 63, which leaves any
+ * non-negative value unchanged, so the loop carries no branch. */
+static inline int64_t repro_index(int64_t a, int64_t n, int64_t shift)
+{
+    return repro_mod(a ^ (a >> shift), n);
+}
+
 /* Circular-XOR fold of a (pre-masked) history value down to the
  * table's index width w = floor(log2(n_g)) — identity whenever the
  * history already fits in w bits (the loop then runs once). */
@@ -116,7 +139,8 @@ static inline int64_t repro_fold_hist(int64_t h, int64_t w,
 void repro_summarize_block(const int64_t *addresses,
                            const uint8_t *outcomes, int64_t n,
                            const int64_t *oid, const int64_t *ct,
-                           int64_t size, int64_t n_b, int64_t tb,
+                           int64_t size, int64_t index_hash,
+                           int64_t n_b, int64_t tb,
                            int64_t n_g, const int64_t *pos_table,
                            int64_t ghr_mask, int64_t n_sel,
                            int64_t tsel, int64_t n_sets, int64_t tset,
@@ -124,18 +148,17 @@ void repro_summarize_block(const int64_t *addresses,
                            int64_t *g_acc, int64_t *scalars)
 {
     int64_t bim = identity, ghr = 0, touched = 0, block_tag = -1;
-    int64_t fold_w = 0, ng_bits = n_g;
-    while (ng_bits > 1) { fold_w++; ng_bits >>= 1; }
-    if (fold_w < 1)
-        fold_w = 1;
+    int64_t fold_w = repro_width(n_g);
+    int64_t b_shift = index_hash == 1 ? repro_width(n_b) : 63;
+    int64_t g_shift = index_hash == 1 ? fold_w : 63;
     int64_t fold_mask = ((int64_t)1 << fold_w) - 1;
     for (int64_t i = 0; i < n; i++) {
         int64_t a = addresses[i];
         int64_t o = oid[outcomes[i]];
-        if (repro_mod(a, n_b) == tb)
+        if (repro_index(a, n_b, b_shift) == tb)
             bim = ct[bim * size + o];
         int64_t folded = repro_fold_hist(ghr, fold_w, fold_mask);
-        int64_t p = pos_table[repro_mod(a ^ folded, n_g)];
+        int64_t p = pos_table[repro_index(a ^ folded, n_g, g_shift)];
         if (p >= 0)
             g_acc[p] = ct[g_acc[p] * size + o];
         ghr = ((ghr << 1) | (int64_t)outcomes[i]) & ghr_mask;
@@ -316,9 +339,9 @@ def reduce_ids(ids, compose_table, identity=0):
 
 
 def summarize_block(
-    addresses, outcomes, outcome_ids, compose_table, n_b, tb, n_g,
-    pos_table, ghr_len, n_sel, tsel, n_sets, tset, tag_mask, n_tracked,
-    identity=0,
+    addresses, outcomes, outcome_ids, compose_table, index_hash, n_b, tb,
+    n_g, pos_table, ghr_len, n_sel, tsel, n_sets, tset, tag_mask,
+    n_tracked, identity=0,
 ):
     addresses = _i64(addresses)
     outcomes_u8 = _u8(outcomes)
@@ -329,7 +352,8 @@ def summarize_block(
     scalars = np.empty(3, dtype=np.int64)
     _lib.repro_summarize_block(
         _p(addresses), _pu8(outcomes_u8), len(addresses), _p(oid),
-        _p(ct), ct.shape[1], int(n_b), int(tb), int(n_g), _p(pos_table),
+        _p(ct), ct.shape[1], HASH_CODES[index_hash], int(n_b), int(tb),
+        int(n_g), _p(pos_table),
         (1 << int(ghr_len)) - 1, int(n_sel), int(tsel), int(n_sets),
         int(tset), int(tag_mask), int(identity), _p(g_acc), _p(scalars),
     )

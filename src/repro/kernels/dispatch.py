@@ -4,20 +4,18 @@ The hot inner loops of the fast engines — monoid folds
 (:meth:`TransitionMonoid.reduce` / :meth:`fold_table`), the manycore
 per-block summary and id-space read recovery, and the batch
 calibration's prefix-scan read recovery — all route through the five
-ops exported here.  Three interchangeable implementations exist:
+ops exported here.  Two interchangeable implementations exist:
 
 ``numpy``
-    The PR 6 segmented-scan algorithms; always available, the
-    correctness reference.
-``numba``
-    ``@njit(cache=True)`` sequential loops; used when numba imports.
+    Segmented-scan algorithms; always available, the correctness
+    reference.
 ``cffi``
     A small generated-C extension compiled once into a
     content-addressed cache directory; used when cffi + a C compiler
     are available.
 
-Selection: ``REPRO_KERNEL_BACKEND`` (``auto`` | ``numpy`` | ``numba``
-| ``cffi``; default ``auto`` prefers numba, then cffi, then numpy).
+Selection: ``REPRO_KERNEL_BACKEND`` (``auto`` | ``numpy`` | ``cffi``;
+default ``auto`` prefers cffi, then numpy).
 Resolution is lazy, happens at most once per process (until
 :func:`set_backend` resets it), and is never silent: every op call
 bumps an always-on per-backend counter (:func:`kernel_dispatch_counts`)
@@ -31,7 +29,9 @@ Determinism contract: every backend returns bit-identical outputs for
 every op (TransitionMonoid ids are canonical and composition is
 associative, so association order cannot matter), and no op touches a
 random generator, so RNG stream positions are backend-independent.
-``tests/test_kernels.py`` enforces both across the shipped presets.
+``summarize_block`` takes the preset's :mod:`repro.bpu.hashes` name and
+indexes both PHTs through it on either backend.  ``tests/test_kernels.py``
+enforces all of this across the six shipped presets.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ from . import numpy_backend
 KERNEL_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
 
 #: Preference order under ``auto``.
-AUTO_ORDER: Tuple[str, ...] = ("numba", "cffi", "numpy")
+AUTO_ORDER: Tuple[str, ...] = ("cffi", "numpy")
 
-_VALID = ("auto", "numpy", "numba", "cffi")
+_VALID = ("auto", "numpy", "cffi")
 
 #: Resolved (implementation module, backend name); None until first use.
 _ACTIVE: Optional[tuple] = None
@@ -65,10 +65,6 @@ def _load_backend(name: str):
     """Import and initialise one backend; raises on unavailability."""
     if name == "numpy":
         return numpy_backend.load()
-    if name == "numba":
-        from . import numba_backend
-
-        return numba_backend.load()
     if name == "cffi":
         from . import cffi_backend
 
@@ -131,7 +127,7 @@ def active_backend() -> str:
 def set_backend(name: Optional[str]) -> str:
     """Override backend selection and re-resolve immediately.
 
-    ``name`` is one of ``auto`` / ``numpy`` / ``numba`` / ``cffi``, or
+    ``name`` is one of ``auto`` / ``numpy`` / ``cffi``, or
     ``None`` to drop the override and return to the environment knob.
     Returns the name of the backend actually installed (an unavailable
     explicit choice falls back to numpy, loudly).
@@ -151,7 +147,7 @@ def set_backend(name: Optional[str]) -> str:
 def available_backends() -> Tuple[str, ...]:
     """Backends that can actually load in this process, probed now."""
     out = []
-    for name in ("numpy", "numba", "cffi"):
+    for name in ("numpy", "cffi"):
         try:
             _load_backend(name)
         except Exception as exc:
@@ -182,7 +178,7 @@ def ensure_initialized() -> str:
 
 
 def warmup() -> str:
-    """Resolve and exercise every op once so JIT/compile costs are paid
+    """Resolve and exercise every op once so load/compile costs are paid
     before fork (children inherit the warm state)."""
     import numpy as np
 
@@ -197,7 +193,7 @@ def warmup() -> str:
         np.array([8, 9], dtype=np.int64),
         np.array([True, False]),
         np.array([0, 1], dtype=np.int64),
-        ct, 2, 0, 2, np.array([0, -1], dtype=np.int64), 1,
+        ct, "mod", 2, 0, 2, np.array([0, -1], dtype=np.int64), 1,
         2, 0, 2, 0, 3, 1, 0,
     )
     nodes = np.array([0], dtype=np.int64)
@@ -242,14 +238,15 @@ def reduce_ids(ids, compose_table, identity=0):
 
 
 def summarize_block(
-    addresses, outcomes, outcome_ids, compose_table, n_b, tb, n_g,
-    pos_table, ghr_len, n_sel, tsel, n_sets, tset, tag_mask, n_tracked,
-    identity=0,
+    addresses, outcomes, outcome_ids, compose_table, index_hash, n_b, tb,
+    n_g, pos_table, ghr_len, n_sel, tsel, n_sets, tset, tag_mask,
+    n_tracked, identity=0,
 ):
-    """Fused per-block campaign summary (GHR walk + both PHT folds)."""
+    """Fused per-block campaign summary (GHR walk + both PHT folds,
+    indexed through the preset's ``index_hash``)."""
     return _dispatch().summarize_block(
-        addresses, outcomes, outcome_ids, compose_table, n_b, tb, n_g,
-        pos_table, ghr_len, n_sel, tsel, n_sets, tset, tag_mask,
+        addresses, outcomes, outcome_ids, compose_table, index_hash, n_b,
+        tb, n_g, pos_table, ghr_len, n_sel, tsel, n_sets, tset, tag_mask,
         n_tracked, identity,
     )
 

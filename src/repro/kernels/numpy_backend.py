@@ -5,7 +5,7 @@ These are the PR 6 algorithms, extracted verbatim from
 behind the :mod:`repro.kernels` op signatures: segmented Hillis-Steele
 scans for the monoid folds, a sliding-window matmul for the GHR
 trajectory, and the binary-lifting / stride-doubling passes for the
-read-level recovery.  The compiled backends replace each op with a
+read-level recovery.  The compiled cffi backend replaces each op with a
 sequential O(N) loop; TransitionMonoid ids are canonical and
 composition is associative, so every association order produces the
 same ids and the backends are bit-identical by construction (the
@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.bpu.hashes import fold_history
+from repro.bpu.hashes import fold_history, index_function
 
 NAME = "numpy"
 
@@ -117,17 +117,12 @@ def _ghr_trajectory(outcomes: np.ndarray, ghr_bits: int) -> np.ndarray:
     return windows[:n] @ weights
 
 
-def _fast_mod(values: np.ndarray, n: int) -> np.ndarray:
-    if n & (n - 1) == 0:
-        return values & (n - 1)
-    return values % n
-
-
 def summarize_block(
     addresses: np.ndarray,
     outcomes: np.ndarray,
     outcome_ids: np.ndarray,
     compose_table: np.ndarray,
+    index_hash: str,
     n_b: int,
     tb: int,
     n_g: int,
@@ -147,20 +142,25 @@ def summarize_block(
     bimodal entry's fold id, the fold id per tracked gshare entry,
     whether the block touches the target's selector entry, and the last
     identification tag written to the target's BIT set (-1 if none).
+
+    Both PHT indices go through the preset's ``index_hash``; the
+    selector and the BIT index by plain modulo whatever the preset.
     """
     outcomes = np.asarray(outcomes)
     step_ids = outcome_ids[outcomes.astype(np.int64)]
+    index = index_function(index_hash)
+    mod = index_function("mod")
 
-    on_target = _fast_mod(addresses, n_b) == tb
+    on_target = index(addresses, n_b) == tb
     bim_id = reduce_ids(step_ids[on_target], compose_table, identity)
 
     trajectory = fold_history(_ghr_trajectory(outcomes, ghr_len), ghr_len, n_g)
-    g_indices = _fast_mod(addresses ^ trajectory, n_g).astype(np.int64)
+    g_indices = index(addresses ^ trajectory, n_g).astype(np.int64)
     pos = pos_table[g_indices]
     g_ids = fold_ids(pos, step_ids, compose_table, n_tracked, identity)
 
-    tsel_touched = bool((_fast_mod(addresses, n_sel) == tsel).any())
-    covering = np.nonzero(_fast_mod(addresses, n_sets) == tset)[0]
+    tsel_touched = bool((mod(addresses, n_sel) == tsel).any())
+    covering = np.nonzero(mod(addresses, n_sets) == tset)[0]
     if len(covering):
         block_tag = int((addresses[covering[-1]] // n_sets) & tag_mask)
     else:

@@ -13,7 +13,14 @@ Two invariants are pinned here:
 import numpy as np
 import pytest
 
-from repro.bpu.presets import haswell, sandy_bridge, skylake
+from repro.bpu.presets import (
+    firestorm_like,
+    haswell,
+    oryon_like,
+    sandy_bridge,
+    skylake,
+    tage_like,
+)
 from repro.core.batch_probe import batch_scan_supported
 from repro.core.pht_map import scan_states, scan_states_reference
 from repro.core.randomizer import RandomizationBlock
@@ -34,6 +41,9 @@ PRESETS = {
     "skylake": skylake,
     "haswell": haswell,
     "sandy_bridge": sandy_bridge,
+    "tage_like": tage_like,
+    "firestorm_like": firestorm_like,
+    "oryon_like": oryon_like,
 }
 
 SCAN_BASE = 0x4000

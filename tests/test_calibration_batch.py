@@ -17,7 +17,14 @@ Three invariants are pinned here:
 import numpy as np
 import pytest
 
-from repro.bpu.presets import haswell, sandy_bridge, skylake
+from repro.bpu.presets import (
+    firestorm_like,
+    haswell,
+    oryon_like,
+    sandy_bridge,
+    skylake,
+    tage_like,
+)
 from repro.core.calibration import (
     assess_block,
     assess_block_batch,
@@ -46,6 +53,9 @@ PRESETS = {
     "skylake": skylake,
     "haswell": haswell,
     "sandy_bridge": sandy_bridge,
+    "tage_like": tage_like,
+    "firestorm_like": firestorm_like,
+    "oryon_like": oryon_like,
 }
 
 TARGET = 0x7F0000001234

@@ -3,9 +3,9 @@
 Two contracts are pinned here:
 
 * **Backend bit-identity** — every available kernel backend (numpy,
-  numba, cffi) returns bit-identical results for every op, on every
-  shipped preset, and no op moves any RNG stream, so assessments *and*
-  stream-position digests are backend-independent.
+  cffi) returns bit-identical results for every op, on every shipped
+  preset (both index hashes), and no op moves any RNG stream, so
+  assessments *and* stream-position digests are backend-independent.
 * **Grouped == per-trial** — a mixed-structure campaign routed through
   the heterogeneous-group dispatcher equals the per-trial process
   reference payload for payload, including under checkpoint
@@ -18,7 +18,15 @@ import numpy as np
 import pytest
 
 from repro import kernels
-from repro.bpu.presets import haswell, sandy_bridge, skylake
+from repro.bpu.hashes import INDEX_HASHES
+from repro.bpu.presets import (
+    firestorm_like,
+    haswell,
+    oryon_like,
+    sandy_bridge,
+    skylake,
+    tage_like,
+)
 from repro.core.calibration import (
     assess_block_batch,
     stability_experiment,
@@ -36,13 +44,21 @@ from repro.core.randomizer import (
 )
 from repro.cpu.core import PhysicalCore
 from repro.cpu.process import Process
+from repro.kernels import cffi_backend, dispatch
 from repro.obs import trace as obs
 from repro.resilience.checkpoint import rng_state_digest
 from repro.system.noise import NoiseModel
 
 TARGET = 0x30_0006D
 
-ALL_PRESETS = [skylake, haswell, sandy_bridge]
+ALL_PRESETS = [
+    skylake,
+    haswell,
+    sandy_bridge,
+    tage_like,
+    firestorm_like,
+    oryon_like,
+]
 
 #: Backends that can load in this interpreter; numpy is always first.
 BACKENDS = kernels.available_backends()
@@ -381,16 +397,29 @@ class TestDispatch:
         with pytest.raises(ValueError, match="unknown kernel backend"):
             kernels.set_backend("gpu")
 
-    def test_unavailable_backend_falls_back_loudly(self):
-        missing = [b for b in ("numba", "cffi") if b not in BACKENDS]
-        if not missing:
-            pytest.skip("all compiled backends load here")
+    def test_unavailable_backend_falls_back_loudly(self, monkeypatch):
+        def broken():
+            raise ImportError("no C compiler")
+
+        monkeypatch.setattr(cffi_backend, "load", broken)
+        monkeypatch.setattr(dispatch, "_INIT_ERRORS", {})
         obs.reset_scalar_fallbacks()
         with pytest.warns(RuntimeWarning, match="falling back to numpy"):
-            installed = kernels.set_backend(missing[0])
+            installed = kernels.set_backend("cffi")
         assert installed == "numpy"
         assert obs.scalar_fallback_counts()["kernel_init"] == 1
-        assert missing[0] in kernels.backend_init_errors()
+        assert "cffi" in kernels.backend_init_errors()
+
+    def test_retired_backend_name_takes_invalid_value_path(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv(kernels.KERNEL_BACKEND_ENV, "numba")
+        with pytest.warns(RuntimeWarning, match="auto selection"):
+            installed = kernels.set_backend(None)
+        assert installed in BACKENDS
+
+    def test_cffi_mirrors_every_index_hash(self):
+        assert set(cffi_backend.HASH_CODES) == set(INDEX_HASHES)
 
     def test_dispatch_counts_increment(self):
         kernels.set_backend("numpy")

@@ -6,6 +6,8 @@ RNG positions) that the per-trial path produces, across presets, noise
 models, checkpoint interruptions, and every fallback branch.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,7 @@ class TestDifferential:
             factory, TARGET, backend="manycore", **kwargs
         )
         assert manycore == reference
+        assert obs.scalar_fallback_counts() == {}
 
     def test_untouched_selector_path(self):
         """Blocks too small to touch the target's chooser entry exercise
@@ -451,6 +454,33 @@ class TestCodesScalarHoist:
         best_hoisted = min(timeit.repeat(hoisted, number=5, repeat=7))
         best_rebuilding = min(timeit.repeat(rebuilding, number=5, repeat=7))
         assert best_hoisted <= best_rebuilding * 1.10
+
+
+class TestSummaryDigest:
+    def test_index_hash_is_part_of_the_store_key(self):
+        """The store caches block summaries under ``summary_digest``.
+        Two presets that differ only in index hash can share the target
+        bimodal entry and the tracked gshare entries (here the target's
+        fold bits are zero, so both hashes agree on every probe index)
+        while a random block's summary differs; they must not share a
+        store entry."""
+        config = skylake().scaled(16)
+        shared = {}
+        for index_hash in ("mod", "fold"):
+            variant = dataclasses.replace(config, index_hash=index_hash)
+            pool = ManycoreCampaignPool(
+                lambda variant=variant: PhysicalCore(variant, seed=7),
+                TARGET,
+                block_branches=2500,
+                repetitions=10,
+                noise=NoiseModel.isolated(),
+            )
+            pool._ensure_built()
+            shared[index_hash] = pool._shared
+        mod, fold = shared["mod"], shared["fold"]
+        assert mod.tb == fold.tb
+        assert np.array_equal(mod.plan_g.pos_table, fold.plan_g.pos_table)
+        assert mod.summary_digest != fold.summary_digest
 
 
 class TestManycoreState:

@@ -1,22 +1,20 @@
 """Shared engine-support predicates (:mod:`repro.core.support`).
 
-Each vectorised engine gates itself on the same three condition
-families — observation hooks, index hash, timing/plan — through this
-one module, so the unit tests pin the predicates directly and then
-cross-check that the engines' historical entry points still re-export
-them.
+Each vectorised engine gates itself on the same two condition
+families — observation hooks, timing/plan — through this one module,
+so the unit tests pin the predicates directly and then cross-check that
+the engines' historical entry points still re-export them.
 """
 
 import numpy as np
 import pytest
 
-from repro.bpu.presets import PRESETS, haswell, oryon_like
+from repro.bpu.presets import haswell, oryon_like
 from repro.core.support import (
     batch_assess_fallback_reason,
     batch_assess_supported,
     batch_scan_fallback_reason,
     batch_scan_supported,
-    index_hash_batchable,
     manycore_fallback_reason,
     observation_hooks_clean,
     scalar_engine_forced,
@@ -64,16 +62,13 @@ class TestObservationHooks:
 
 
 class TestIndexHash:
-    def test_mod_presets_batchable(self):
-        for name in ("skylake", "haswell", "sandy_bridge", "tage_like"):
-            assert index_hash_batchable(_core(PRESETS[name]))
-
-    def test_fold_preset_not_batchable(self):
+    def test_fold_preset_takes_every_fast_path(self):
         core = _core(oryon_like)
-        assert not index_hash_batchable(core)
-        assert batch_scan_fallback_reason(core) == "index_hash"
-        assert batch_assess_fallback_reason(core) == "index_hash"
-        assert manycore_fallback_reason(core) == "index_hash"
+        assert (
+            batch_scan_fallback_reason(core),
+            batch_assess_fallback_reason(core),
+            manycore_fallback_reason(core),
+        ) == (None, None, None)
 
 
 class TestTimingAndPlan:
