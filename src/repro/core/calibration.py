@@ -439,7 +439,6 @@ def find_block(
     with_stats: bool = False,
     checkpoint=None,
     resume: bool = True,
-    backend: str = "process",
 ):
     """Search candidate blocks until one stably yields ``desired_state``.
 
@@ -484,24 +483,14 @@ def find_block(
     functions of the candidate index to survive a resume, which the
     serial rng-chained walk is not.
 
-    ``backend="manycore"`` forces the pooled path and pre-screens
-    candidates through :class:`~repro.core.manycore.ManycoreFindPool` —
-    the pin check runs once, cheaply, before a trial is dispatched, and
-    rejected candidates consume no shared state, so the winner is
-    bit-identical to the pooled search at the same worker count.
-
     Raises :class:`CalibrationError` after ``max_candidates`` failures.
     """
-    if backend not in ("process", "manycore"):
-        raise ValueError(f"unknown backend {backend!r}")
     fsm = core.predictor.bimodal.pht.fsm
     assess = assess_block_batch if fast else assess_block
     desired_name = desired_state.value
     n_workers = resolve_workers(workers)
-    pooled = (
-        backend == "manycore"
-        or checkpoint is not None
-        or not (workers is None and n_workers == 1)
+    pooled = checkpoint is not None or not (
+        workers is None and n_workers == 1
     )
     # Every pooled assessment carries a plan, so only the mitigation part
     # of the fallback predicate can disable the batch engine there; the
@@ -645,16 +634,6 @@ def find_block(
         return None
 
     pool = TrialPool(n_workers)
-    if backend == "manycore":
-        from repro.core.manycore import ManycoreFindPool
-
-        pool = ManycoreFindPool(
-            pool,
-            core,
-            target_address,
-            desired_state,
-            block_branches=block_branches,
-        )
     payloads = list(
         zip(range(seed_start, seed_start + max_candidates), children)
     )
@@ -750,12 +729,14 @@ def stability_experiment(
     trials through the struct-of-arrays shared-structure engine
     (:class:`~repro.core.manycore.ManycoreCampaignPool`), which stacks
     many trials into single array operations — bit-identical results,
-    single-process, and it ignores ``workers``.  Unsupported
-    configurations (mitigations, zero-width noise gaps, a
-    nondeterministic factory) degrade per payload to the scalar trial,
-    counted under the ``"manycore"`` scalar-fallback key.  Checkpoints
-    are backend-agnostic: a campaign interrupted under one backend
-    resumes under the other.
+    single-process, and it ignores ``workers``.  A campaign the shared
+    structure cannot run exactly (mitigations, value-unequal FSM specs,
+    zero-width noise gaps, a nondeterministic factory) runs every trial
+    through the per-trial closure instead, serially, counted under the
+    ``"manycore"`` scalar-fallback key; the factory is called the same
+    number of times, in the same order, as under ``"process"``.
+    Checkpoints are backend-agnostic: a campaign interrupted under one
+    backend resumes under the other.
     """
     if backend not in ("process", "manycore"):
         raise ValueError(f"unknown backend {backend!r}")

@@ -84,7 +84,7 @@ independent of the latency argument.
 from __future__ import annotations
 
 from collections import Counter
-from typing import List, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -100,11 +100,20 @@ from repro.system.noise import NoiseDraw, NoiseModel, draw_noise
 __all__ = ["batch_assess"]
 
 
-def _read_levels(
-    initial_levels: np.ndarray,
-    step_exec: np.ndarray,
-    step_noise: np.ndarray,
-    transition_map: np.ndarray,
+class _NodeSchedule(NamedTuple):
+    """One PHT's phase-2 node schedule, in per-entry chronological order."""
+
+    tracked: np.ndarray  # tracked entry indices, ascending
+    pos_table: np.ndarray  # entry -> tracked position (-1 if untracked)
+    p_sorted: np.ndarray  # tracked position of each node
+    remaining: np.ndarray  # block maps crossed since the entry's last node
+    first: np.ndarray  # node opens its entry's segment
+    node_out: np.ndarray  # branch or noise outcome of each node
+    is_read: np.ndarray  # 1 for read nodes, 0 for noise hits
+    out_slot: np.ndarray  # flat output slot of read nodes, -1 for hits
+
+
+def _node_schedule(
     idx: np.ndarray,
     executed: np.ndarray,
     outcomes: np.ndarray,
@@ -112,8 +121,9 @@ def _read_levels(
     noise_out: np.ndarray,
     noise_epoch: np.ndarray,
     d: int,
-) -> List[List[int]]:
-    """Phase 2: read-before-write levels of every executed branch.
+    n_entries: int,
+) -> _NodeSchedule:
+    """Phase 2's instance-independent half: every read and noise hit.
 
     Entries evolve lazily.  An entry's timeline is measured in *applied
     block maps*: a scramble branch of repetition ``r`` reads at time
@@ -121,26 +131,21 @@ def _read_levels(
     and that repetition's noise steps and probe branches sit at
     ``r + 1`` (noise before probes).  Between two reads of the same
     entry only whole maps and its own noise hits occur, and all those
-    times are static — so each read/hit *node* compiles to a level
-    lookup row (binary-lifted map powers composed with its FSM step),
-    the per-entry chains collapse under a segmented parallel-prefix
-    scan, and the read values fall out of two gathers.  No Python-level
-    loop over nodes remains.
+    times are static — so each read/hit becomes a *node* with a static
+    map-jump distance from its entry's previous node.  Both read-level
+    paths (:func:`_read_levels` per trial, the manycore engine's
+    id-space plan per campaign) replay this one schedule.  ``executed``
+    must mark at least one slot.
     """
     R2, n_slots = idx.shape
-    if not executed.any():
-        row = [0] * n_slots
-        return [row] * R2
-
     tracked = np.unique(idx[executed])
     n_tracked = len(tracked)
-    pos_table = np.full(transition_map.shape[0], -1, dtype=np.int64)
+    pos_table = np.full(n_entries, -1, dtype=np.int64)
     pos_table[tracked] = np.arange(n_tracked)
     positions = pos_table[idx]
 
     # Read nodes, in chronological (row-major) order.
-    exec_flat = executed.ravel()
-    slot_flat = np.nonzero(exec_flat)[0]
+    slot_flat = np.nonzero(executed.ravel())[0]
     read_pos = positions.ravel()[slot_flat]
     read_r = slot_flat // n_slots
     read_time = read_r + ((slot_flat - read_r * n_slots) >= d)
@@ -180,6 +185,87 @@ def _read_levels(
     p_sorted = node_p[order]
     t_sorted = node_t[order]
 
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = p_sorted[1:] != p_sorted[:-1]
+    prev_t = np.empty_like(t_sorted)
+    prev_t[0] = 0
+    prev_t[1:] = t_sorted[:-1]
+    prev_t[first] = 0
+    is_read = node_read[order]
+    return _NodeSchedule(
+        tracked=tracked,
+        pos_table=pos_table,
+        p_sorted=p_sorted,
+        remaining=t_sorted - prev_t,
+        first=first,
+        node_out=node_out[order],
+        is_read=is_read,
+        out_slot=np.where(is_read.astype(bool), node_slot[order], -1),
+    )
+
+
+def _noise_aggregates(
+    bulk: NoiseDraw,
+    epoch_of: np.ndarray,
+    R2: int,
+    n_sel: int,
+    tsel: int,
+    n_sets: int,
+    tset: int,
+    tag_mask: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-repetition effect of the noise stream on the target's entries.
+
+    ``epoch_of[k]`` is the repetition noise branch ``k`` belongs to.
+    Returns ``(drift, noise_tag)``: the summed selector nudges landing on
+    selector entry ``tsel`` per repetition, and the tag the repetition's
+    last noise branch in identification set ``tset`` writes (-1 when no
+    noise branch maps there).
+    """
+    drift = np.zeros(R2, dtype=np.int64)
+    on_tsel = bulk.addresses % n_sel == tsel
+    if on_tsel.any():
+        np.add.at(drift, epoch_of[on_tsel], bulk.nudges[on_tsel])
+    noise_tag = np.full(R2, -1, dtype=np.int64)
+    on_tset = bulk.addresses % n_sets == tset
+    if on_tset.any():
+        last = np.full(R2, -1, dtype=np.int64)
+        np.maximum.at(last, epoch_of[on_tset], np.nonzero(on_tset)[0])
+        rows = last >= 0
+        noise_tag[rows] = (bulk.addresses[last[rows]] // n_sets) & tag_mask
+    return drift, noise_tag
+
+
+def _read_levels(
+    initial_levels: np.ndarray,
+    step_exec: np.ndarray,
+    step_noise: np.ndarray,
+    transition_map: np.ndarray,
+    idx: np.ndarray,
+    executed: np.ndarray,
+    outcomes: np.ndarray,
+    noise_idx: np.ndarray,
+    noise_out: np.ndarray,
+    noise_epoch: np.ndarray,
+    d: int,
+) -> List[List[int]]:
+    """Phase 2: read-before-write levels of every executed branch.
+
+    Each node of the :func:`_node_schedule` compiles to a level lookup
+    row (binary-lifted map powers composed with its FSM step), the
+    per-entry chains collapse under a segmented parallel-prefix scan,
+    and the read values fall out of two gathers.  No Python-level loop
+    over nodes remains.
+    """
+    R2, n_slots = idx.shape
+    if not executed.any():
+        row = [0] * n_slots
+        return [row] * R2
+    schedule = _node_schedule(
+        idx, executed, outcomes, noise_idx, noise_out, noise_epoch, d,
+        transition_map.shape[0],
+    )
+
     # Every node's map-jump distance from the previous node of the same
     # entry is static, so each node compiles to a jump row (identity
     # when no map ticked); the lifting, the per-node transfer (jump
@@ -188,30 +274,21 @@ def _read_levels(
     # in :func:`repro.kernels.read_levels_maps` (binary lifting +
     # Hillis-Steele on the numpy backend, one sequential walk per entry
     # segment on the compiled ones — identical level chains either way).
-    n_nodes = len(order)
-    first = np.ones(n_nodes, dtype=bool)
-    first[1:] = p_sorted[1:] != p_sorted[:-1]
-    prev_t = np.empty_like(t_sorted)
-    prev_t[0] = 0
-    prev_t[1:] = t_sorted[:-1]
-    prev_t[first] = 0
-    remaining = t_sorted - prev_t
+    tracked = schedule.tracked
     n_levels = transition_map.shape[1]
-    is_read = node_read[order]
-    node_sel = node_out[order] + 2 * is_read
-    out_slot = np.where(is_read.astype(bool), node_slot[order], -1)
+    node_sel = schedule.node_out + 2 * schedule.is_read
     step4 = np.ascontiguousarray(
         np.concatenate([step_noise, step_exec]).astype(np.int64)
     )
-    v0 = initial_levels[tracked].astype(np.int64)[p_sorted]
+    v0 = initial_levels[tracked].astype(np.int64)[schedule.p_sorted]
     read_flat = kernels.read_levels_maps(
         np.ascontiguousarray(transition_map[tracked].astype(np.int64)),
-        p_sorted,
-        remaining,
+        schedule.p_sorted,
+        schedule.remaining,
         node_sel,
-        first,
+        schedule.first,
         v0,
-        out_slot,
+        schedule.out_slot,
         step4.ravel(),
         n_levels,
         R2 * n_slots,
@@ -295,28 +372,16 @@ def batch_assess(
     gaps = offsets[1:] - offsets[:-1]
     has_noise = (gaps > 0).tolist()
     total = int(offsets[-1])
-    drift_tsel = [0] * R2
-    noise_tag: List[Optional[int]] = [None] * R2
     tsel = T % sel.n_entries
     tset = T % bit.n_sets
     ttag = (T // bit.n_sets) & bit._tag_mask
-    if total:
-        epoch_of = np.repeat(np.arange(R2), gaps)
-        on_tsel = bulk.addresses % sel.n_entries == tsel
-        if on_tsel.any():
-            drift = np.zeros(R2, dtype=np.int64)
-            np.add.at(drift, epoch_of[on_tsel], bulk.nudges[on_tsel])
-            drift_tsel = drift.tolist()
-        on_tset = bulk.addresses % bit.n_sets == tset
-        if on_tset.any():
-            last = np.full(R2, -1, dtype=np.int64)
-            np.maximum.at(last, epoch_of[on_tset], np.nonzero(on_tset)[0])
-            for r in np.nonzero(last >= 0)[0].tolist():
-                address = int(bulk.addresses[last[r]])
-                noise_tag[r] = (address // bit.n_sets) & bit._tag_mask
-        noise_epoch = epoch_of
-    else:
-        noise_epoch = np.empty(0, dtype=np.int64)
+    noise_epoch = np.repeat(np.arange(R2), gaps)
+    drift, tags = _noise_aggregates(
+        bulk, noise_epoch, R2, sel.n_entries, tsel, bit.n_sets, tset,
+        bit._tag_mask,
+    )
+    drift_tsel = drift.tolist()
+    noise_tag = tags.tolist()
 
     # -- phase 2: tracked-entry table evolution -----------------------------
     executed = ~static
@@ -403,7 +468,7 @@ def batch_assess(
             # apply_noise_draw), drift or no drift on this entry.
             value = sel_val + drift_tsel[r]
             sel_val = 0 if value < 0 else (3 if value > 3 else value)
-            if noise_tag[r] is not None:
+            if noise_tag[r] >= 0:
                 bit_valid = True
                 bit_tag = noise_tag[r]
         first = second = "M"

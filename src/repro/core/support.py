@@ -12,7 +12,7 @@ The preset's PHT index hash is *not* a condition: every engine and
 kernel computes its PHT indices through :mod:`repro.bpu.hashes`, so the
 zoo's fold presets take the same fast paths as the Intel ones.
 
-Two independent conditions, composed per engine:
+Three independent conditions, composed per engine:
 
 * **observation hooks** — a mitigation overriding ``perturb_counter``
   (noisy counters) or ``update_outcome`` (stochastic FSM) makes the
@@ -21,10 +21,15 @@ Two independent conditions, composed per engine:
   analytically; a custom :class:`~repro.cpu.timing.TimingModel` subclass
   with its own draw pattern needs a pre-drawn trial plan to stay
   RNG-exact.
+* **shared structure** — the manycore campaign engine computes one plan
+  and one node schedule for a whole campaign, so it needs a core
+  without mitigations, value-equal FSM specs on both PHTs and no empty
+  noise gap (:func:`manycore_fallback_reason`).  The campaign pool adds
+  its own check that the core factory is deterministic.
 
 The reason strings (``"mitigation"``, ``"custom_timing"``,
-``"unshared_structure"``) feed
-``repro.obs.record_scalar_fallback`` so operators can see *why* an
+``"unshared_structure"``, and the pool's ``"nondeterministic_factory"``)
+feed ``repro.obs.record_scalar_fallback`` so operators can see *why* an
 engine degraded, not just that it did.
 """
 
@@ -117,33 +122,23 @@ def scalar_engine_forced(core: PhysicalCore, *, pooled: bool) -> bool:
 
 
 def manycore_fallback_reason(
-    core: PhysicalCore,
-    gaps: Optional[np.ndarray] = None,
-    *,
-    instance_shared: bool = True,
+    core: PhysicalCore, gaps: Optional[np.ndarray] = None
 ) -> Optional[str]:
-    """Why the manycore closed-form engine is inexact for ``core``.
+    """Why the manycore shared-structure engine is inexact for ``core``.
 
     Returns ``None`` when supported, else the fallback reason:
 
     * ``"mitigation"`` — any installed mitigation (index hooks would
-      have to run per branch per instance; observation hooks fail
-      :func:`observation_hooks_clean` as in the per-trial engines);
-    * ``"unshared_structure"`` — the two PHTs do not share one FSM
-      (``instance_shared=True`` demands one shared *instance*, the
-      shared-structure premise; ``False`` relaxes to spec equality, the
-      grouped engine's per-payload requirement) or ``gaps`` contains an
-      empty noise gap (the closed-form GHR then depends on the
-      per-block ``ghr_end``).
+      have to run per branch per instance; observation hooks make the
+      probe stochastic, as in the per-trial engines);
+    * ``"unshared_structure"`` — the two PHTs' FSM specs differ (the
+      PHTs would evolve under different transition algebras), or
+      ``gaps`` contains an empty noise gap (the closed-form GHR then
+      depends on the per-block ``ghr_end``).
     """
-    if len(core.mitigations) > 0 or not observation_hooks_clean(core):
+    if len(core.mitigations) > 0:
         return "mitigation"
-    bimodal_fsm = core.predictor.bimodal.pht.fsm
-    gshare_fsm = core.predictor.gshare.pht.fsm
-    if instance_shared:
-        if bimodal_fsm is not gshare_fsm:
-            return "unshared_structure"
-    elif bimodal_fsm != gshare_fsm:
+    if core.predictor.bimodal.pht.fsm != core.predictor.gshare.pht.fsm:
         return "unshared_structure"
     if gaps is not None and bool((np.asarray(gaps) == 0).any()):
         return "unshared_structure"

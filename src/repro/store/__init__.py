@@ -4,10 +4,10 @@ The hot artifacts of a campaign are pure functions of their inputs: a
 compiled randomisation block is determined by ``(block content, core
 geometry, mitigation view, timing, kernel backend)``, a calibration
 shard's result by ``(campaign spec, seed range)``, the manycore engine's
-per-trial block summaries by ``(structure signature, seeds)``.  PR 1's
-in-process LRU already exploits this within one process; this module
-generalises it across processes, users and machine restarts with a
-**two-tier content-addressed store**:
+per-trial block summaries by ``(structure digest, seeds)``.  The
+in-process compile LRU already exploits this within one process; this
+module generalises it across processes, users and machine restarts with
+a **two-tier content-addressed store**:
 
 * **memory tier** — a bounded LRU of deserialised objects (cheap repeat
   hits within one process);

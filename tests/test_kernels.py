@@ -1,4 +1,4 @@
-"""Kernel backends and heterogeneous-group batching: differential suite.
+"""Kernel backends and mixed-structure campaigns: differential suite.
 
 Two contracts are pinned here:
 
@@ -6,10 +6,10 @@ Two contracts are pinned here:
   cffi) returns bit-identical results for every op, on every shipped
   preset (both index hashes), and no op moves any RNG stream, so
   assessments *and* stream-position digests are backend-independent.
-* **Grouped == per-trial** — a mixed-structure campaign routed through
-  the heterogeneous-group dispatcher equals the per-trial process
-  reference payload for payload, including under checkpoint
-  kill/resume, with every degenerate payload counted as a fallback.
+* **Mixed-structure campaigns == per-trial** — a nondeterministic
+  factory delegates every payload and a distinct-but-equal FSM pair
+  runs shared; both equal the per-trial process reference payload for
+  payload, including under checkpoint kill/resume.
 """
 
 import dataclasses
@@ -34,7 +34,6 @@ from repro.core.calibration import (
 from repro.core.manycore import (
     ManycoreCampaignPool,
     group_batch_stats,
-    manycore_supported,
     reset_group_batch_stats,
 )
 from repro.core.randomizer import (
@@ -42,6 +41,7 @@ from repro.core.randomizer import (
     clear_compile_cache,
     compile_cache_info,
 )
+from repro.core.support import manycore_fallback_reason
 from repro.cpu.core import PhysicalCore
 from repro.cpu.process import Process
 from repro.kernels import cffi_backend, dispatch
@@ -235,13 +235,12 @@ class TestEndToEndDifferential:
 
 
 class TestGroupedCampaigns:
-    """Heterogeneous-group batching == per-trial reference."""
+    """Mixed-structure campaigns == per-trial reference."""
 
     def test_mixed_seed_factory_groups(self):
-        """Cores seeded 7,3,7,3,7,9 form groups {3, 2, 1}: the two
-        multi-member groups run shared, the singleton replays, and the
-        list equals the process backend running the same factory-call
-        sequence."""
+        """Cores seeded 7,3,7,3,7,9 make the factory nondeterministic:
+        every payload delegates, and the list equals the process backend
+        running the same factory-call sequence."""
         config = skylake().scaled(16)
         seq = [7, 3, 7, 3, 7, 9]
 
@@ -265,16 +264,11 @@ class TestGroupedCampaigns:
             make_factory(), TARGET, backend="manycore", **kwargs
         )
         assert grouped == reference
-        assert obs.scalar_fallback_counts()["manycore"] == 1
-        stats = group_batch_stats()
-        assert stats["groups"] == 2
-        assert stats["grouped"] == 5
-        assert stats["singleton_groups"] == 1
-        assert stats["scalar"] == 1
+        assert obs.scalar_fallback_counts()["manycore"] == 6
 
     def test_equal_spec_distinct_fsm_instances_grouped(self):
-        """Distinct FSM instances with value-equal specs — previously a
-        blanket per-payload fallback — now run as one shared group."""
+        """Distinct FSM instances with value-equal specs share one
+        transition monoid, so the campaign runs on the shared path."""
         config = skylake().scaled(16)
 
         def factory():
@@ -283,7 +277,7 @@ class TestGroupedCampaigns:
             pht.fsm = dataclasses.replace(pht.fsm)
             return core
 
-        assert manycore_supported(factory()) == "unshared_structure"
+        assert manycore_fallback_reason(factory()) is None
         kwargs = dict(
             n_blocks=6,
             block_branches=2000,
@@ -300,10 +294,7 @@ class TestGroupedCampaigns:
         )
         assert grouped == reference
         assert "manycore" not in obs.scalar_fallback_counts()
-        stats = group_batch_stats()
-        assert stats["groups"] == 1
-        assert stats["grouped"] == 6
-        assert stats["scalar"] == 0
+        assert group_batch_stats()["shared"] == 6
 
     def test_grouped_kill_resume_bit_identical(self, tmp_path):
         config = haswell().scaled(16)

@@ -19,25 +19,15 @@ from repro.bpu.presets import (
     skylake,
     tage_like,
 )
-from repro.core.calibration import (
-    DecodedState,
-    draw_trial_plan,
-    find_block,
-    stability_experiment,
-)
-from repro.core.manycore import (
-    ManycoreCampaignPool,
-    ManycoreState,
-    manycore_supported,
-)
+from repro.core.calibration import draw_trial_plan, stability_experiment
+from repro.core.manycore import ManycoreCampaignPool
 from repro.core.randomizer import RandomizationBlock
+from repro.core.support import manycore_fallback_reason
 from repro.cpu.core import PhysicalCore
-from repro.cpu.counters import CounterKind
-from repro.cpu.process import Process
 from repro.mitigations.noisy_counters import NoisyPerformanceCounters
+from repro.mitigations.pht_randomization import PhtIndexRandomization
 from repro.mitigations.stochastic_fsm import StochasticFSM
 from repro.obs import trace as obs
-from repro.parallel import spawn_seeds
 from repro.resilience.checkpoint import rng_state_digest
 from repro.system.noise import NoiseModel
 
@@ -165,8 +155,7 @@ class TestRNGDiscipline:
         assert pool.rng_digest == rng_state_digest(core.rng)
 
     def test_nondeterministic_factory_groups_per_payload(self):
-        """Distinct-seed cores form singleton groups: the pool replays
-        the reference trial per payload (never the caller's fn) and the
+        """A distinct-seed factory delegates every payload, and the
         assessments stay bit-identical to the process backend running
         the same factory-call sequence."""
         config = skylake().scaled(16)
@@ -190,24 +179,6 @@ class TestRNGDiscipline:
             make_factory(), TARGET, backend="manycore", **kwargs
         )
         assert manycore == reference
-        assert obs.scalar_fallback_counts()["manycore"] == 3
-
-    def test_nondeterministic_factory_never_calls_fn(self):
-        seeds = iter(range(1000))
-        config = skylake().scaled(16)
-
-        def factory():
-            return PhysicalCore(config, seed=next(seeds))
-
-        pool = ManycoreCampaignPool(
-            factory, TARGET, block_branches=1500, repetitions=6
-        )
-
-        def fail(_seed):
-            raise AssertionError("grouped mode must not call fn")
-
-        out = pool.map(fail, [1, 2, 3])
-        assert len(out) == 3 and all(a is not None for a in out)
         assert obs.scalar_fallback_counts()["manycore"] == 3
 
 
@@ -259,12 +230,59 @@ class TestFallbacks:
 
     def test_supported_predicate(self):
         core = PhysicalCore(skylake().scaled(16), seed=0)
-        assert manycore_supported(core) is None
-        assert manycore_supported(core, np.array([3, 0, 5])) == (
+        assert manycore_fallback_reason(core) is None
+        assert manycore_fallback_reason(core, np.array([3, 0, 5])) == (
             "unshared_structure"
         )
         core.mitigations.install(StochasticFSM())
-        assert manycore_supported(core) == "mitigation"
+        assert manycore_fallback_reason(core) == "mitigation"
+
+    @pytest.mark.parametrize(
+        "mitigation",
+        [
+            lambda seed: PhtIndexRandomization(np.random.default_rng(seed)),
+            lambda seed: NoisyPerformanceCounters(),
+        ],
+        ids=["PhtIndexRandomization", "NoisyPerformanceCounters"],
+    )
+    def test_delegated_campaign_keeps_factory_call_sequence(
+        self, mitigation
+    ):
+        """A factory seeding each core from a counter gives the process
+        list: the core the pool builds to choose its mode runs the first
+        trial, ``pre_trial`` included, instead of being discarded."""
+        config = skylake().scaled(16)
+
+        def make_factory():
+            seeds = iter(range(100, 1000))
+
+            def factory():
+                seed = next(seeds)
+                core = PhysicalCore(config, seed=seed)
+                core.mitigations.install(mitigation(seed))
+                return core
+
+            return factory
+
+        kwargs = dict(
+            n_blocks=5,
+            block_branches=1500,
+            repetitions=6,
+            noise=NoiseModel.isolated(),
+            seed_start=3,
+        )
+        lists = {}
+        for backend in ("process", "manycore"):
+            calls = []
+            lists[backend] = stability_experiment(
+                make_factory(),
+                TARGET,
+                backend=backend,
+                pre_trial=calls.append,
+                **kwargs,
+            )
+            assert calls == list(range(3, 8))
+        assert lists["manycore"] == lists["process"]
 
 
 class TestCheckpointing:
@@ -348,59 +366,6 @@ class TestCheckpointing:
         assert resumed == expected
 
 
-class TestFindBlock:
-    def test_manycore_winner_matches_pooled(self):
-        config = haswell().scaled(16)
-        kwargs = dict(
-            block_branches=6000,
-            repetitions=10,
-            max_candidates=64,
-            noise=NoiseModel.isolated(),
-        )
-        spy = Process("search-spy")
-        core_a = PhysicalCore(config, seed=5)
-        core_b = PhysicalCore(config, seed=5)
-        reference = find_block(
-            core_a, spy, TARGET, DecodedState.SN, workers=1,
-            backend="process", **kwargs,
-        )
-        manycore = find_block(
-            core_b, spy, TARGET, DecodedState.SN,
-            backend="manycore", **kwargs,
-        )
-        assert manycore.block.seed == reference.block.seed
-        # The search's footprint on the caller core (one entropy draw)
-        # is identical too.
-        assert rng_state_digest(core_a.rng) == rng_state_digest(core_b.rng)
-
-    def test_mitigated_search_delegates(self):
-        config = haswell().scaled(16)
-        kwargs = dict(
-            block_branches=6000,
-            repetitions=10,
-            max_candidates=64,
-            noise=NoiseModel.isolated(),
-        )
-        spy = Process("search-spy")
-
-        def build():
-            core = PhysicalCore(config, seed=5)
-            core.mitigations.install(NoisyPerformanceCounters(magnitude=0))
-            return core
-
-        reference = find_block(
-            build(), spy, TARGET, DecodedState.SN, workers=1,
-            backend="process", **kwargs,
-        )
-        obs.reset_scalar_fallbacks()
-        manycore = find_block(
-            build(), spy, TARGET, DecodedState.SN,
-            backend="manycore", **kwargs,
-        )
-        assert manycore.block.seed == reference.block.seed
-        assert obs.scalar_fallback_counts()["manycore"] >= 1
-
-
 class TestCodesScalarHoist:
     """The untouched-selector chain's campaign invariants are hoisted
     into ``_SharedStructure.__init__`` — a perf regression guard for
@@ -481,92 +446,3 @@ class TestSummaryDigest:
         assert mod.tb == fold.tb
         assert np.array_equal(mod.plan_g.pos_table, fold.plan_g.pos_table)
         assert mod.summary_digest != fold.summary_digest
-
-
-class TestManycoreState:
-    def _cores(self, n=3):
-        config = skylake().scaled(32)
-        return [PhysicalCore(config, seed=10 + i) for i in range(n)]
-
-    def test_from_factory_broadcasts_and_spawns_streams(self):
-        config = skylake().scaled(32)
-        factory = lambda: PhysicalCore(config, seed=4)
-        state = ManycoreState.from_factory(factory, 4, seed=123)
-        template = factory()
-        assert state.n == 4
-        for row in state.bimodal_levels:
-            assert (row == template.predictor.bimodal.pht.levels).all()
-        for row in state.selector_counters:
-            assert (row == template.predictor.selector.counters).all()
-        expected = [
-            rng_state_digest(np.random.default_rng(child))
-            for child in spawn_seeds(123, 4)
-        ]
-        assert state.rng_digests() == expected
-
-    def test_apply_compiled_matches_scalar_apply(self):
-        cores = self._cores()
-        spy = Process("spy")
-        state = ManycoreState.from_cores(cores, process=spy)
-        blocks = [
-            RandomizationBlock.generate(seed, n_branches=800)
-            for seed in (1, 2, 3)
-        ]
-        compiled = [b.compile(c, spy) for b, c in zip(blocks, cores)]
-        state.apply_compiled(compiled)
-        for c, core in zip(compiled, cores):
-            c.apply(core, spy)
-        for i, core in enumerate(cores):
-            predictor = core.predictor
-            assert (
-                state.bimodal_levels[i] == predictor.bimodal.pht.levels
-            ).all()
-            assert (
-                state.gshare_levels[i] == predictor.gshare.pht.levels
-            ).all()
-            assert (
-                state.selector_counters[i] == predictor.selector.counters
-            ).all()
-            assert state.ghr_values[i] == predictor.ghr.value
-            assert (state.bit_valid[i] == predictor.bit.valid).all()
-            assert (state.bit_tags[i] == predictor.bit.tags).all()
-            assert state.clock[i] == core.clock.now
-            counters = core.counters_for(spy)
-            assert state.branches[i] == counters.read(CounterKind.BRANCHES)
-            assert state.mispredictions[i] == counters.read(
-                CounterKind.BRANCH_MISSES
-            )
-            assert state.cycles[i] == counters.read(CounterKind.CYCLES)
-
-    def test_apply_compiled_broadcasts_single_block(self):
-        cores = self._cores(2)
-        spy = Process("spy")
-        state = ManycoreState.from_cores(cores, process=spy)
-        compiled = RandomizationBlock.generate(9, n_branches=600).compile(
-            cores[0], spy
-        )
-        state.apply_compiled(compiled)
-        for core in cores:
-            compiled.apply(core, spy)
-        for i, core in enumerate(cores):
-            assert (
-                state.bimodal_levels[i] == core.predictor.bimodal.pht.levels
-            ).all()
-            assert state.ghr_values[i] == core.predictor.ghr.value
-
-    def test_mixed_configs_rejected(self):
-        a = PhysicalCore(skylake().scaled(32), seed=0)
-        b = PhysicalCore(haswell().scaled(32), seed=0)
-        with pytest.raises(ValueError, match="mixed configurations"):
-            ManycoreState.from_cores([a, b])
-
-    def test_wrong_config_block_rejected(self):
-        cores = self._cores(1)
-        spy = Process("spy")
-        state = ManycoreState.from_cores(cores)
-        other = PhysicalCore(haswell().scaled(32), seed=0)
-        compiled = RandomizationBlock.generate(1, n_branches=500).compile(
-            other, spy
-        )
-        with pytest.raises(ValueError, match="bound to config"):
-            state.apply_compiled([compiled])
