@@ -21,7 +21,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.snapshot import SnapshotTuple, WriteJournal
+from repro.snapshot import SnapshotTuple, WriteJournal, sorted_unique
 
 __all__ = ["BranchIdentificationTable"]
 
@@ -49,7 +49,7 @@ class BranchIdentificationTable:
         """Journal current (tag, valid) values before an external in-place
         bulk write, keeping outstanding delta snapshots restorable."""
         if self._journal.armed:
-            uniq = np.unique(indices)
+            uniq = sorted_unique(indices, self.n_sets)
             self._journal.record(
                 (uniq, self.tags[uniq].copy(), self.valid[uniq].copy()),
                 size=len(uniq),

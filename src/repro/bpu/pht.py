@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from repro.bpu.fsm import FSMSpec, State, level_dtype
-from repro.snapshot import DeltaSnapshot, WriteJournal
+from repro.snapshot import DeltaSnapshot, WriteJournal, sorted_unique
 
 __all__ = ["PatternHistoryTable"]
 
@@ -81,7 +81,7 @@ class PatternHistoryTable:
         in-place bulk write (compiled-block application, noise injection),
         keeping outstanding delta snapshots restorable."""
         if self._journal.armed:
-            uniq = np.unique(indices)
+            uniq = sorted_unique(indices, self.n_entries)
             self._journal.record(
                 (uniq, self._levels[uniq].copy()), size=len(uniq)
             )

@@ -25,7 +25,7 @@ import enum
 
 import numpy as np
 
-from repro.snapshot import DeltaSnapshot, WriteJournal
+from repro.snapshot import DeltaSnapshot, WriteJournal, sorted_unique
 
 __all__ = ["Choice", "SelectorTable"]
 
@@ -73,7 +73,7 @@ class SelectorTable:
         """Journal current counter values before an external in-place
         bulk write, keeping outstanding delta snapshots restorable."""
         if self._journal.armed:
-            uniq = np.unique(indices)
+            uniq = sorted_unique(indices, self.n_entries)
             self._journal.record(
                 (uniq, self.counters[uniq].copy()), size=len(uniq)
             )

@@ -63,7 +63,11 @@ from repro.core.calibration_batch import (
     _node_schedule,
     _noise_aggregates,
 )
-from repro.core.randomizer import RandomizationBlock
+from repro.core.randomizer import (
+    DEFAULT_BLOCK_BASE,
+    RandomizationBlock,
+    block_words,
+)
 from repro.core.support import manycore_fallback_reason
 from repro.cpu.core import PhysicalCore
 from repro import kernels
@@ -379,17 +383,15 @@ class _SharedStructure:
         entry, and the last identification tag it writes to the target's
         set (-1 when it never touches that set).
         """
-        block = RandomizationBlock.generate(
-            seed, n_branches=self.block_branches
-        )
-        # Fused kernel: one pass walks the GHR shift register, folds the
-        # target bimodal entry and every tracked gshare entry in monoid
-        # id space, and spots the selector/BIT touches (the numpy
-        # backend runs the same reductions as separate vectorised
+        # Fused kernel on the block's raw words: one pass decodes each
+        # branch, walks the GHR shift register, folds the target bimodal
+        # entry and every tracked gshare entry in monoid id space, and
+        # spots the selector/BIT touches (the numpy backend decodes the
+        # block and runs the same reductions as separate vectorised
         # passes — bit-identical either way).
         return kernels.summarize_block(
-            block.addresses,
-            block.outcomes,
+            block_words(seed, self.block_branches),
+            DEFAULT_BLOCK_BASE,
             self._oid,
             self.monoid.compose_table,
             self.index_hash,

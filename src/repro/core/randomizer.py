@@ -18,6 +18,21 @@ once (when the block is generated) and are not re-randomized during
 execution"), which is what makes a block's effect on a given PHT entry
 reproducible — the property the §6.2 calibration search exploits.
 
+Block definition
+----------------
+Block ``seed`` of ``n`` branches is ``n`` raw 64-bit words of a fresh
+``default_rng(seed)`` PCG64 bit generator, read as ``2n`` uint32 halves,
+low half first (:func:`block_words`).  Bit 31 of half ``i < n`` says
+whether a NOP precedes branch ``i``; bit 31 of half ``n + i`` is its
+direction (:func:`decode_block`).  This is the same block
+``rng.integers(2, 4, n)`` then ``rng.integers(0, 2, n)`` draw (numpy's
+32-bit Lemire draw of a two-value range is bit 31 of the next half, and
+an odd ``n`` carries its leftover half into the second draw), but it is
+tied to the bit-generator stream, which NEP 19 keeps stable across numpy
+versions, rather than to ``Generator.integers``, which it does not.  The
+manycore engine hands the halves straight to
+:func:`repro.kernels.summarize_block`, which decodes them inline.
+
 Fast path
 ---------
 A covert-channel run executes the block once per transmitted bit; at
@@ -39,8 +54,8 @@ misses the branch identification table):
 * **selector**: every touched entry is *reset* to the initial bias
   (cold-branch allocation semantics — see
   :meth:`repro.bpu.selector.SelectorTable.reset_entry`);
-* **identification table**: block tags are inserted in program order
-  (last write per set wins);
+* **identification table**: each touched set holds the tag of its last
+  branch in program order (one ``(set, tag)`` pair per set);
 * **GHR**: the block's final ``ghr_bits`` outcomes;
 * **clock / spy counters**: charged a deterministic per-branch estimate
   (cold fetch + ~50% mispredictions); only counter *deltas* around probe
@@ -73,10 +88,14 @@ from repro.cpu.core import BranchExecution, PhysicalCore
 from repro.cpu.counters import CounterKind
 from repro.cpu.process import Process
 from repro.obs import trace as obs
+from repro.snapshot import sorted_unique
 
 __all__ = [
     "RandomizationBlock",
     "CompiledBlock",
+    "DEFAULT_BLOCK_BASE",
+    "block_words",
+    "decode_block",
     "PAPER_BLOCK_BRANCHES",
     "COMPILE_CACHE_MAXSIZE",
     "clear_compile_cache",
@@ -176,10 +195,11 @@ def _store_key(block_fingerprint: str, core, key, partition) -> str:
     config = core.config
     return repro_store.store_key(
         "compiled_block",
-        # Index-semantics schema: bumped when the gshare index function
-        # itself changes meaning (v2 = folded long history), so a store
-        # populated before the change can never serve a stale gshare_map.
-        schema="gshare-index-v2",
+        # Artifact schema: bumped whenever a stored CompiledBlock would
+        # change meaning or shape (gshare-index-v2 = folded long history;
+        # bit-last-writer-v3 = one BIT (set, tag) per touched set), so a
+        # store populated before the change never serves a stale block.
+        schema="bit-last-writer-v3",
         block=block_fingerprint,
         config=(
             config.name,
@@ -200,6 +220,37 @@ def _store_key(block_fingerprint: str, core, key, partition) -> str:
         timing=repr(core.timing),
         backend=kernels.active_backend(),
     )
+
+
+def block_words(seed: int, n_branches: int) -> np.ndarray:
+    """The ``2 * n_branches`` uint32 PCG64 halves that define a block.
+
+    One ``random_raw(n_branches)`` call on a fresh ``default_rng(seed)``
+    bit generator, each 64-bit word split low half first.  Halves
+    ``[0, n)`` carry the NOP steps and halves ``[n, 2n)`` the
+    directions, each in bit 31 (see :func:`decode_block`).
+    """
+    raw = np.random.default_rng(seed).bit_generator.random_raw(n_branches)
+    return raw.astype("<u8", copy=False).view("<u4")
+
+
+def decode_block(
+    words: np.ndarray, n: int, base: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(addresses, outcomes)`` of the ``n``-branch block in ``words``.
+
+    Branch ``i > 0`` sits ``2 + (words[i] >> 31)`` bytes after branch
+    ``i - 1`` (a two-byte ``je``/``jne``, plus a NOP or not); branch 0
+    sits at ``base``.  Branch ``i`` is taken iff ``words[n + i] >> 31``.
+    """
+    if n <= 0:
+        raise ValueError("block needs at least one branch")
+    addresses = (words[:n] >> 31).astype(np.int64)
+    addresses += 2
+    addresses[0] = base
+    np.cumsum(addresses, out=addresses)
+    outcomes = (words[n : 2 * n] >> 31).astype(bool)
+    return addresses, outcomes
 
 
 @dataclass(frozen=True)
@@ -227,15 +278,12 @@ class RandomizationBlock:
         or 3 bytes ("randomizing memory locations of these instructions
         by either placing or not placing a NOP instruction between
         them").  Directions are uniform random with no inter-branch
-        dependencies.
+        dependencies.  Both come from :func:`block_words` through
+        :func:`decode_block`.
         """
-        if n_branches <= 0:
-            raise ValueError("block needs at least one branch")
-        rng = np.random.default_rng(seed)
-        steps = rng.integers(2, 4, size=n_branches)
-        steps[0] = 0
-        addresses = base_address + np.cumsum(steps)
-        outcomes = rng.integers(0, 2, size=n_branches).astype(bool)
+        addresses, outcomes = decode_block(
+            block_words(seed, n_branches), n_branches, base_address
+        )
         return RandomizationBlock(
             seed=seed, addresses=addresses, outcomes=outcomes
         )
@@ -428,13 +476,26 @@ class RandomizationBlock:
             )
         )
 
+        n = len(self)
         selector = predictor.selector
-        selector_touched = np.unique(self.addresses % selector.n_entries)
+        selector_touched = sorted_unique(
+            self.addresses % selector.n_entries, selector.n_entries
+        )
 
+        # One (set, tag) per touched BIT set, written by the set's last
+        # branch in program order: fancy assignment with repeated indices
+        # does not promise which duplicate wins, ufunc.at does.
         bit_table = predictor.bit
-        bit_sets = (self.addresses % bit_table.n_sets).astype(np.int64)
+        last_writer = np.full(bit_table.n_sets, -1, dtype=np.int64)
+        np.maximum.at(
+            last_writer,
+            self.addresses % bit_table.n_sets,
+            np.arange(n, dtype=np.int64),
+        )
+        bit_sets = np.flatnonzero(last_writer >= 0)
         bit_tags = (
-            (self.addresses // bit_table.n_sets) & bit_table._tag_mask
+            (self.addresses[last_writer[bit_sets]] // bit_table.n_sets)
+            & bit_table._tag_mask
         ).astype(np.int64)
 
         # Deterministic cost estimate: every block branch fetches cold
@@ -446,7 +507,6 @@ class RandomizationBlock:
             + 0.5 * timing.miss_penalty
             + 0.5 * timing.taken_extra
         )
-        n = len(self)
         for arr in (bimodal_map, gshare_map, selector_touched, bit_sets, bit_tags):
             arr.setflags(write=False)
         compiled = CompiledBlock(

@@ -1,6 +1,7 @@
 """Generated-C kernel backend (cffi API mode, compiled once, cached).
 
-The five ops become plain sequential C loops over int64 arrays.  The
+The five ops become plain sequential C loops over int64 arrays (the
+block summary reads a block's raw uint32 words directly).  The
 extension is compiled a single time into a content-addressed cache
 directory — keyed by a hash of the C source plus the cffi/python
 versions — and re-loaded from disk on every later run (and in every
@@ -41,8 +42,8 @@ void repro_fold_ids(const int64_t *positions, const int64_t *ids,
 int64_t repro_reduce_ids(const int64_t *ids, int64_t n,
                          const int64_t *ct, int64_t size,
                          int64_t identity);
-void repro_summarize_block(const int64_t *addresses,
-                           const uint8_t *outcomes, int64_t n,
+void repro_summarize_block(const uint32_t *words, int64_t n,
+                           int64_t base,
                            const int64_t *oid, const int64_t *ct,
                            int64_t size, int64_t index_hash,
                            int64_t n_b, int64_t tb,
@@ -136,8 +137,8 @@ static inline int64_t repro_fold_hist(int64_t h, int64_t w,
     return f;
 }
 
-void repro_summarize_block(const int64_t *addresses,
-                           const uint8_t *outcomes, int64_t n,
+void repro_summarize_block(const uint32_t *words, int64_t n,
+                           int64_t base,
                            const int64_t *oid, const int64_t *ct,
                            int64_t size, int64_t index_hash,
                            int64_t n_b, int64_t tb,
@@ -152,16 +153,21 @@ void repro_summarize_block(const int64_t *addresses,
     int64_t b_shift = index_hash == 1 ? repro_width(n_b) : 63;
     int64_t g_shift = index_hash == 1 ? fold_w : 63;
     int64_t fold_mask = ((int64_t)1 << fold_w) - 1;
+    /* Branch i > 0 sits 2 + (words[i] >> 31) bytes after branch i - 1
+     * and branch 0 at base (repro.core.randomizer.decode_block); start
+     * one step early so every iteration advances the same way. */
+    int64_t a = base - 2 - (int64_t)(words[0] >> 31);
     for (int64_t i = 0; i < n; i++) {
-        int64_t a = addresses[i];
-        int64_t o = oid[outcomes[i]];
+        a += 2 + (int64_t)(words[i] >> 31);
+        int64_t taken = (int64_t)(words[n + i] >> 31);
+        int64_t o = oid[taken];
         if (repro_index(a, n_b, b_shift) == tb)
             bim = ct[bim * size + o];
         int64_t folded = repro_fold_hist(ghr, fold_w, fold_mask);
         int64_t p = pos_table[repro_index(a ^ folded, n_g, g_shift)];
         if (p >= 0)
             g_acc[p] = ct[g_acc[p] * size + o];
-        ghr = ((ghr << 1) | (int64_t)outcomes[i]) & ghr_mask;
+        ghr = ((ghr << 1) | taken) & ghr_mask;
         if (repro_mod(a, n_sel) == tsel)
             touched = 1;
         if (repro_mod(a, n_sets) == tset)
@@ -339,20 +345,22 @@ def reduce_ids(ids, compose_table, identity=0):
 
 
 def summarize_block(
-    addresses, outcomes, outcome_ids, compose_table, index_hash, n_b, tb,
+    words, base, outcome_ids, compose_table, index_hash, n_b, tb,
     n_g, pos_table, ghr_len, n_sel, tsel, n_sets, tset, tag_mask,
     n_tracked, identity=0,
 ):
-    addresses = _i64(addresses)
-    outcomes_u8 = _u8(outcomes)
+    words = np.ascontiguousarray(words, dtype=np.uint32)
+    n = len(words) // 2
+    if n <= 0:
+        raise ValueError("block needs at least one branch")
     oid = _i64(outcome_ids)
     ct = _i64(compose_table)
     pos_table = _i64(pos_table)
     g_acc = np.full(int(n_tracked), identity, dtype=np.int64)
     scalars = np.empty(3, dtype=np.int64)
     _lib.repro_summarize_block(
-        _p(addresses), _pu8(outcomes_u8), len(addresses), _p(oid),
-        _p(ct), ct.shape[1], HASH_CODES[index_hash], int(n_b), int(tb),
+        _ffi.cast("uint32_t *", _ffi.from_buffer(words)), n, int(base),
+        _p(oid), _p(ct), ct.shape[1], HASH_CODES[index_hash], int(n_b), int(tb),
         int(n_g), _p(pos_table),
         (1 << int(ghr_len)) - 1, int(n_sel), int(tsel), int(n_sets),
         int(tset), int(tag_mask), int(identity), _p(g_acc), _p(scalars),

@@ -29,7 +29,12 @@ Determinism contract: every backend returns bit-identical outputs for
 every op (TransitionMonoid ids are canonical and composition is
 associative, so association order cannot matter), and no op touches a
 random generator, so RNG stream positions are backend-independent.
-``summarize_block`` takes the preset's :mod:`repro.bpu.hashes` name and
+``summarize_block`` takes a block as its raw uint32 words plus a base
+address (the block definition of :mod:`repro.core.randomizer`): the cffi
+loop steps the address and extracts each direction bit inline, so no
+address or outcome array is ever built, and the numpy backend decodes
+through :func:`repro.core.randomizer.decode_block` before its vectorised
+reductions.  It also takes the preset's :mod:`repro.bpu.hashes` name and
 indexes both PHTs through it on either backend.  ``tests/test_kernels.py``
 enforces all of this across the six shipped presets.
 """
@@ -190,8 +195,8 @@ def warmup() -> str:
     impl.fold_ids(pos, ids, ct, 1, 0)
     impl.reduce_ids(ids, ct, 0)
     impl.summarize_block(
-        np.array([8, 9], dtype=np.int64),
-        np.array([True, False]),
+        np.array([0, 1 << 31, 1 << 31, 0], dtype=np.uint32),
+        8,
         np.array([0, 1], dtype=np.int64),
         ct, "mod", 2, 0, 2, np.array([0, -1], dtype=np.int64), 1,
         2, 0, 2, 0, 3, 1, 0,
@@ -238,15 +243,23 @@ def reduce_ids(ids, compose_table, identity=0):
 
 
 def summarize_block(
-    addresses, outcomes, outcome_ids, compose_table, index_hash, n_b, tb,
+    words, base, outcome_ids, compose_table, index_hash, n_b, tb,
     n_g, pos_table, ghr_len, n_sel, tsel, n_sets, tset, tag_mask,
     n_tracked, identity=0,
 ):
-    """Fused per-block campaign summary (GHR walk + both PHT folds,
-    indexed through the preset's ``index_hash``)."""
+    """Fused per-block campaign summary, straight from the block's words.
+
+    ``words`` are the ``2n`` uint32 halves of
+    :func:`repro.core.randomizer.block_words` and ``base`` the first
+    branch address; the op decodes addresses and directions as
+    :func:`~repro.core.randomizer.decode_block` does, walks the GHR,
+    folds the target bimodal entry and every tracked gshare entry
+    (indexed through the preset's ``index_hash``) and spots the
+    selector/BIT touches.  Returns ``(bim_id, g_ids, tsel_touched,
+    block_tag)``."""
     return _dispatch().summarize_block(
-        addresses, outcomes, outcome_ids, compose_table, index_hash, n_b,
-        tb, n_g, pos_table, ghr_len, n_sel, tsel, n_sets, tset, tag_mask,
+        words, base, outcome_ids, compose_table, index_hash, n_b, tb, n_g,
+        pos_table, ghr_len, n_sel, tsel, n_sets, tset, tag_mask,
         n_tracked, identity,
     )
 

@@ -118,8 +118,8 @@ def _ghr_trajectory(outcomes: np.ndarray, ghr_bits: int) -> np.ndarray:
 
 
 def summarize_block(
-    addresses: np.ndarray,
-    outcomes: np.ndarray,
+    words: np.ndarray,
+    base: int,
     outcome_ids: np.ndarray,
     compose_table: np.ndarray,
     index_hash: str,
@@ -138,15 +138,21 @@ def summarize_block(
 ):
     """One randomisation block's campaign-relevant footprint, fused.
 
-    Returns ``(bim_id, g_ids, tsel_touched, block_tag)`` — the target
-    bimodal entry's fold id, the fold id per tracked gshare entry,
-    whether the block touches the target's selector entry, and the last
-    identification tag written to the target's BIT set (-1 if none).
+    ``words`` are the block's ``2n`` uint32 halves and ``base`` its first
+    branch address (:func:`repro.core.randomizer.decode_block` turns
+    them into addresses and outcomes).  Returns ``(bim_id, g_ids,
+    tsel_touched, block_tag)`` — the target bimodal entry's fold id, the
+    fold id per tracked gshare entry, whether the block touches the
+    target's selector entry, and the last identification tag written to
+    the target's BIT set (-1 if none).
 
     Both PHT indices go through the preset's ``index_hash``; the
     selector and the BIT index by plain modulo whatever the preset.
     """
-    outcomes = np.asarray(outcomes)
+    # Imported at call time: repro.core.randomizer imports this package.
+    from repro.core.randomizer import decode_block
+
+    addresses, outcomes = decode_block(words, len(words) // 2, base)
     step_ids = outcome_ids[outcomes.astype(np.int64)]
     index = index_function(index_hash)
     mod = index_function("mod")

@@ -53,8 +53,21 @@ __all__ = [
     "WriteJournal",
     "DeltaSnapshot",
     "SnapshotTuple",
+    "sorted_unique",
     "state_digest",
 ]
+
+
+def sorted_unique(indices: np.ndarray, size: int) -> np.ndarray:
+    """``np.unique(indices)`` for non-negative indices below ``size``.
+
+    A boolean mask plus ``flatnonzero`` gives the same sorted array; on a
+    100k-index block it is an order of magnitude faster than numpy 2's
+    hash-based ``unique``.
+    """
+    mask = np.zeros(size, dtype=bool)
+    mask[indices] = True
+    return np.flatnonzero(mask)
 
 
 def state_digest(checkpoint: Any) -> str:

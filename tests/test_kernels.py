@@ -176,6 +176,35 @@ class TestOpDifferential:
                 assert int(got[3]) == int(ref[3])
             assert np.array_equal(reads, ref_reads)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 2501])
+    @pytest.mark.parametrize("preset", ALL_PRESETS)
+    def test_summarize_block_words(self, preset, n):
+        """Word-input summaries agree across backends for odd lengths
+        and a single-branch block (the cffi loop's first step is
+        special)."""
+        pool = ManycoreCampaignPool(
+            lambda: PhysicalCore(preset().scaled(16), seed=7),
+            TARGET,
+            block_branches=n,
+            repetitions=10,
+            noise=NoiseModel.noisy(),
+        )
+        pool._ensure_built()
+        shared = pool._shared
+        assert shared is not None
+        per_backend = {}
+        for backend in BACKENDS:
+            kernels.set_backend(backend)
+            per_backend[backend] = [
+                shared.summarize(seed) for seed in range(6)
+            ]
+        for backend in BACKENDS:
+            for got, ref in zip(per_backend[backend], per_backend["numpy"]):
+                assert int(got[0]) == int(ref[0])
+                assert np.array_equal(got[1], ref[1])
+                assert bool(got[2]) == bool(ref[2])
+                assert int(got[3]) == int(ref[3])
+
 
 class TestEndToEndDifferential:
     """Whole campaigns and trials are backend-independent, RNG included."""

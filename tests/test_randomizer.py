@@ -5,9 +5,26 @@ import pytest
 
 from repro.bpu import haswell, skylake
 from repro.cpu import PhysicalCore, Process
-from repro.core.randomizer import CompiledBlock, RandomizationBlock
+from repro.core.randomizer import (
+    DEFAULT_BLOCK_BASE,
+    CompiledBlock,
+    RandomizationBlock,
+    block_words,
+    decode_block,
+)
 
 BLOCK_N = 6000
+
+
+def integers_block(seed, n_branches, base_address=DEFAULT_BLOCK_BASE):
+    """The ``Generator.integers`` form of block generation, frozen as
+    the oracle for the raw-word definition."""
+    rng = np.random.default_rng(seed)
+    steps = rng.integers(2, 4, size=n_branches)
+    steps[0] = 0
+    addresses = base_address + np.cumsum(steps)
+    outcomes = rng.integers(0, 2, size=n_branches).astype(bool)
+    return addresses, outcomes
 
 
 @pytest.fixture
@@ -55,6 +72,39 @@ class TestGeneration:
     def test_needs_positive_size(self):
         with pytest.raises(ValueError):
             RandomizationBlock.generate(0, 0)
+
+
+class TestRawWordDefinition:
+    """``generate`` (raw PCG64 halves) equals the ``integers`` form."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 2000, 4097, 100_000])
+    def test_matches_integers_oracle(self, n):
+        seeds = np.random.default_rng(n).integers(0, 2**63, size=4)
+        for seed in [0, *seeds.tolist()]:
+            block = RandomizationBlock.generate(seed, n_branches=n)
+            addresses, outcomes = integers_block(seed, n)
+            assert block.addresses.dtype == addresses.dtype
+            assert block.outcomes.dtype == outcomes.dtype
+            assert np.array_equal(block.addresses, addresses)
+            assert np.array_equal(block.outcomes, outcomes)
+
+    @pytest.mark.parametrize("n", [1, 3, 2000])
+    def test_non_default_base(self, n):
+        base = 0x7F00_0001
+        block = RandomizationBlock.generate(9, n_branches=n, base_address=base)
+        addresses, outcomes = integers_block(9, n, base_address=base)
+        assert block.addresses[0] == base
+        assert np.array_equal(block.addresses, addresses)
+        assert np.array_equal(block.outcomes, outcomes)
+
+    def test_words_are_two_halves_per_branch(self):
+        words = block_words(4, 7)
+        assert words.dtype == np.uint32
+        assert len(words) == 14
+        addresses, outcomes = decode_block(words, 7, DEFAULT_BLOCK_BASE)
+        block = RandomizationBlock.generate(4, n_branches=7)
+        assert np.array_equal(addresses, block.addresses)
+        assert np.array_equal(outcomes, block.outcomes)
 
 
 class TestGhrTrajectory:
@@ -127,6 +177,33 @@ class TestCompiledVsExact:
         tags_f, valid_f = fast.predictor.bit.snapshot()
         assert (valid_e == valid_f).all()
         assert (tags_e[valid_e] == tags_f[valid_f]).all()
+
+    def test_bit_last_writer_with_repeated_sets(self):
+        """Many branches share each BIT set: ``apply`` must leave every
+        set holding its last writer's tag, as the scalar run does, and
+        the compiled block stores one ``(set, tag)`` per set."""
+        core = PhysicalCore(haswell().scaled(16), seed=5)
+        n_sets = core.predictor.bit.n_sets
+        i = np.arange(3000, dtype=np.int64)
+        # Three sets, each written ~1000 times with a different tag.
+        addresses = DEFAULT_BLOCK_BASE + n_sets * i + i % 3
+        outcomes = np.random.default_rng(2).integers(0, 2, 3000).astype(bool)
+        block = RandomizationBlock(
+            seed=-1, addresses=addresses, outcomes=outcomes
+        )
+        exact, fast = self._run_both(
+            lambda: PhysicalCore(haswell().scaled(16), seed=5), block
+        )
+        compiled = block.compile(fast, Process("spy"))
+        assert np.array_equal(
+            compiled.bit_sets,
+            np.sort((DEFAULT_BLOCK_BASE + np.arange(3)) % n_sets),
+        )
+        assert len(compiled.bit_tags) == 3
+        tags_e, valid_e = exact.predictor.bit.snapshot()
+        tags_f, valid_f = fast.predictor.bit.snapshot()
+        assert np.array_equal(valid_e, valid_f)
+        assert np.array_equal(tags_e, tags_f)
 
     def test_ghr_matches(self, block):
         exact, fast = self._run_both(
