@@ -55,6 +55,29 @@ class BranchIdentificationTable:
                 size=len(uniq),
             )
 
+    def last_writers(
+        self, addresses: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(sets, tags)`` a run of branches leaves, one pair per set.
+
+        Each touched set (ascending) holds the tag of its *last* branch
+        in program order, as inserting ``addresses`` one at a time
+        would leave it.  Fancy assignment with repeated indices does not
+        promise which duplicate wins; ``np.maximum.at`` over positions
+        does.
+        """
+        last = np.full(self.n_sets, -1, dtype=np.int64)
+        np.maximum.at(
+            last,
+            addresses % self.n_sets,
+            np.arange(len(addresses), dtype=np.int64),
+        )
+        sets = np.flatnonzero(last >= 0)
+        tags = (
+            (addresses[last[sets]] // self.n_sets) & self._tag_mask
+        ).astype(np.int64)
+        return sets, tags
+
     def contains(self, address: int) -> bool:
         """Whether the BPU currently "knows" the branch at ``address``."""
         index, tag = self._split(address)

@@ -9,7 +9,22 @@ BranchScope's strategy of forcing the 1-level mode.
 
 from __future__ import annotations
 
-__all__ = ["GlobalHistoryRegister"]
+import numpy as np
+
+__all__ = ["GlobalHistoryRegister", "history_value"]
+
+
+def history_value(bits: np.ndarray) -> int:
+    """The GHR value a run of outcomes shifts in, newest in the LSB.
+
+    ``bits`` are the last (at most ``length``) outcomes in program order;
+    a shorter run leaves the high bits zero.
+    """
+    bits = np.asarray(bits, dtype=np.int64)
+    weights = np.left_shift(
+        np.int64(1), np.arange(len(bits) - 1, -1, -1, dtype=np.int64)
+    )
+    return int(bits @ weights)
 
 
 class GlobalHistoryRegister:

@@ -54,7 +54,7 @@ from __future__ import annotations
 import copy
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -67,6 +67,7 @@ from repro.core.support import (
 from repro.core.prime_probe import probe_pair
 from repro.core.randomizer import (
     PAPER_BLOCK_BRANCHES,
+    BlockSummary,
     CompiledBlock,
     RandomizationBlock,
 )
@@ -362,7 +363,7 @@ def _assess_block_plan(
 def assess_block_batch(
     core: PhysicalCore,
     spy: Process,
-    compiled: CompiledBlock,
+    block: Union[CompiledBlock, BlockSummary],
     target_address: int,
     *,
     repetitions: int = 100,
@@ -390,8 +391,17 @@ def assess_block_batch(
     skips the per-repetition draw loop *and* the timing-draw replay
     entirely (this is the >=10x trial fast path), and a custom timing
     model no longer forces the scalar fallback.
+
+    ``block`` is a :class:`CompiledBlock`, or — on that plan path,
+    without mitigations and with value-equal FSM specs on both PHTs —
+    a :class:`~repro.core.randomizer.BlockSummary`, which the engine
+    reads straight from the block's raw words without compiling it.  A
+    summary never falls back: anywhere else it raises
+    :class:`ValueError`.
     """
-    if not batch_assess_supported(core, plan):
+    if not isinstance(block, BlockSummary) and not batch_assess_supported(
+        core, plan
+    ):
         obs.record_scalar_fallback(
             "calibration_batch",
             batch_assess_fallback_reason(core, plan) or "custom_timing",
@@ -399,7 +409,7 @@ def assess_block_batch(
         return assess_block(
             core,
             spy,
-            compiled,
+            block,
             target_address,
             repetitions=repetitions,
             noise=noise,
@@ -411,7 +421,7 @@ def assess_block_batch(
     assessment = batch_assess(
         core,
         spy,
-        compiled,
+        block,
         target_address,
         repetitions=repetitions,
         noise=noise,

@@ -48,7 +48,16 @@ Three phases:
    FSM step) is a precomputed lookup row; per-entry chains collapse
    under a segmented parallel-prefix scan with no Python loop.  Work is
    proportional to reads plus observable noise hits, not
-   ``repetitions x tracked-entries``.
+   ``repetitions x tracked-entries``.  Both PHTs' node schedules are
+   built first, then the block's rows of their tracked entries are
+   fetched once, then the levels are read.  The rows come from one of
+   two block sources: a :class:`~repro.core.randomizer.CompiledBlock`
+   indexes its whole-table maps (every front end), and a
+   :class:`~repro.core.randomizer.BlockSummary` computes them, with the
+   selector touch, BIT tag and ``ghr_end``, in one
+   :func:`repro.kernels.summarize_block` pass over the block's raw
+   words — on the unmitigated plan front end with value-equal FSM specs
+   only; anywhere else it raises :class:`ValueError`.
 
 3. **Prediction chain** (per repetition, Python scalars): evolve the one
    selector counter and identification-table set the target address
@@ -84,14 +93,16 @@ independent of the latency argument.
 from __future__ import annotations
 
 from collections import Counter
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from repro import kernels
+from repro.bpu.ghr import history_value
 from repro.bpu.hashes import fold_history, index_function
 from repro.core.calibration import BlockAssessment, TrialPlan, _dominant_counts
-from repro.core.randomizer import CompiledBlock
+from repro.core.randomizer import BlockSummary, CompiledBlock
+from repro.core.support import manycore_fallback_reason
 from repro.cpu.core import PhysicalCore
 from repro.cpu.process import Process
 from repro.obs import trace as obs
@@ -134,8 +145,8 @@ def _node_schedule(
     times are static — so each read/hit becomes a *node* with a static
     map-jump distance from its entry's previous node.  Both read-level
     paths (:func:`_read_levels` per trial, the manycore engine's
-    id-space plan per campaign) replay this one schedule.  ``executed``
-    must mark at least one slot.
+    id-space plan per campaign) replay this one schedule.  With no
+    executed slot the schedule is empty.
     """
     R2, n_slots = idx.shape
     tracked = np.unique(idx[executed])
@@ -188,7 +199,6 @@ def _node_schedule(
     first = np.ones(len(order), dtype=bool)
     first[1:] = p_sorted[1:] != p_sorted[:-1]
     prev_t = np.empty_like(t_sorted)
-    prev_t[0] = 0
     prev_t[1:] = t_sorted[:-1]
     prev_t[first] = 0
     is_read = node_read[order]
@@ -240,31 +250,23 @@ def _read_levels(
     initial_levels: np.ndarray,
     step_exec: np.ndarray,
     step_noise: np.ndarray,
-    transition_map: np.ndarray,
-    idx: np.ndarray,
-    executed: np.ndarray,
-    outcomes: np.ndarray,
-    noise_idx: np.ndarray,
-    noise_out: np.ndarray,
-    noise_epoch: np.ndarray,
-    d: int,
+    rows: np.ndarray,
+    schedule: _NodeSchedule,
+    R2: int,
+    n_slots: int,
 ) -> List[List[int]]:
     """Phase 2: read-before-write levels of every executed branch.
 
-    Each node of the :func:`_node_schedule` compiles to a level lookup
-    row (binary-lifted map powers composed with its FSM step), the
-    per-entry chains collapse under a segmented parallel-prefix scan,
-    and the read values fall out of two gathers.  No Python-level loop
-    over nodes remains.
+    ``rows`` are the block's transition-map rows of the schedule's
+    tracked entries, in ``schedule.tracked`` order.  Each node of the
+    :func:`_node_schedule` compiles to a level lookup row (binary-lifted
+    map powers composed with its FSM step), the per-entry chains
+    collapse under a segmented parallel-prefix scan, and the read values
+    fall out of two gathers.  No Python-level loop over nodes remains.
     """
-    R2, n_slots = idx.shape
-    if not executed.any():
+    if not len(schedule.p_sorted):
         row = [0] * n_slots
         return [row] * R2
-    schedule = _node_schedule(
-        idx, executed, outcomes, noise_idx, noise_out, noise_epoch, d,
-        transition_map.shape[0],
-    )
 
     # Every node's map-jump distance from the previous node of the same
     # entry is static, so each node compiles to a jump row (identity
@@ -274,15 +276,14 @@ def _read_levels(
     # in :func:`repro.kernels.read_levels_maps` (binary lifting +
     # Hillis-Steele on the numpy backend, one sequential walk per entry
     # segment on the compiled ones — identical level chains either way).
-    tracked = schedule.tracked
-    n_levels = transition_map.shape[1]
+    n_levels = rows.shape[1]
     node_sel = schedule.node_out + 2 * schedule.is_read
     step4 = np.ascontiguousarray(
         np.concatenate([step_noise, step_exec]).astype(np.int64)
     )
-    v0 = initial_levels[tracked].astype(np.int64)[schedule.p_sorted]
+    v0 = initial_levels[schedule.tracked].astype(np.int64)[schedule.p_sorted]
     read_flat = kernels.read_levels_maps(
-        np.ascontiguousarray(transition_map[tracked].astype(np.int64)),
+        np.ascontiguousarray(rows.astype(np.int64)),
         schedule.p_sorted,
         schedule.remaining,
         node_sel,
@@ -296,10 +297,63 @@ def _read_levels(
     return read_flat.reshape(R2, n_slots).tolist()
 
 
+def _block_footprint(
+    block: Union[CompiledBlock, BlockSummary],
+    words: Optional[np.ndarray],
+    predictor,
+    T: int,
+    sched_b: _NodeSchedule,
+    sched_g: _NodeSchedule,
+) -> Tuple[np.ndarray, np.ndarray, bool, int]:
+    """Everything phases 2 and 3 read from the block.
+
+    Returns ``(rows_b, rows_g, tsel_touched, block_tag)``: the
+    transition-map rows of both schedules' tracked entries, whether the
+    block touches the target's selector entry, and the last tag it
+    writes to the target's BIT set (-1 when none).  A
+    :class:`CompiledBlock` indexes its tables; a :class:`BlockSummary`
+    makes one :func:`repro.kernels.summarize_block` pass over ``words``.
+    """
+    tsel = T % predictor.selector.n_entries
+    bit = predictor.bit
+    tset = T % bit.n_sets
+    if not isinstance(block, BlockSummary):
+        covering = np.flatnonzero(block.bit_sets == tset)
+        return (
+            block.bimodal_map[sched_b.tracked],
+            block.gshare_map[sched_g.tracked],
+            bool((block.selector_touched == tsel).any()),
+            int(block.bit_tags[covering[-1]]) if len(covering) else -1,
+        )
+    # The closed form reads one bimodal entry, the target's own.
+    (tb,) = sched_b.tracked
+    monoid = predictor.bimodal.pht.fsm.transition_monoid()
+    bim_id, g_ids, tsel_touched, block_tag = kernels.summarize_block(
+        words,
+        block.base,
+        monoid.outcome_ids.astype(np.int64),
+        monoid.compose_table,
+        predictor.index_hash,
+        predictor.bimodal.pht.n_entries,
+        int(tb),
+        predictor.gshare.pht.n_entries,
+        sched_g.pos_table,
+        predictor.ghr.length,
+        predictor.selector.n_entries,
+        tsel,
+        bit.n_sets,
+        tset,
+        bit._tag_mask,
+        len(sched_g.tracked),
+        monoid.IDENTITY,
+    )
+    return monoid.maps[[bim_id]], monoid.maps[g_ids], tsel_touched, block_tag
+
+
 def batch_assess(
     core: PhysicalCore,
     spy: Process,
-    compiled: CompiledBlock,
+    block: Union[CompiledBlock, BlockSummary],
     target_address: int,
     *,
     repetitions: int = 100,
@@ -311,15 +365,33 @@ def batch_assess(
 
     Callers should use :func:`repro.core.calibration.assess_block_batch`,
     which applies the supported-configuration predicate before
-    dispatching here.
+    dispatching here.  ``block`` is a :class:`CompiledBlock` on every
+    front end, or a :class:`BlockSummary` on the closed-form one only
+    (a plan, no mitigation, value-equal FSM specs on both PHTs); a
+    summary anywhere else raises :class:`ValueError`.
     """
-    if core.config.name != compiled.config_name:
-        raise ValueError(
-            "compiled block bound to config "
-            f"{compiled.config_name!r}, core is {core.config.name!r}"
-        )
-
     predictor = core.predictor
+    ghr_len = predictor.ghr.length
+    if isinstance(block, BlockSummary):
+        reason = "no_plan" if plan is None else manycore_fallback_reason(core)
+        if reason is not None:
+            raise ValueError(
+                "a BlockSummary needs the closed-form front end "
+                f"(plan, no mitigation, equal FSM specs): {reason}"
+            )
+        seed = block.seed
+        words = block.words()
+        ghr_end = block.ghr_end(words, ghr_len)
+    else:
+        if core.config.name != block.config_name:
+            raise ValueError(
+                "compiled block bound to config "
+                f"{block.config_name!r}, core is {core.config.name!r}"
+            )
+        seed = block.block.seed
+        words = None
+        ghr_end = int(block.ghr_end)
+
     bimodal = predictor.bimodal.pht
     gshare = predictor.gshare.pht
     fsm_b = bimodal.fsm
@@ -328,18 +400,14 @@ def batch_assess(
     n_g = gshare.n_entries
     d = fsm_b.n_levels
     n_slots = d + 2
-    ghr_len = predictor.ghr.length
-    ghr_mask = (1 << ghr_len) - 1
     sel = predictor.selector
     bit = predictor.bit
     T = int(target_address)
     R = int(repetitions) if plan is None else plan.repetitions
     R2 = 2 * R
 
-    mitigations = core.mitigations
-    hooked = len(mitigations) > 0
+    hooked = len(core.mitigations) > 0
     ghr_start = int(predictor.ghr.value)
-    ghr_end = int(compiled.ghr_end)
 
     # -- phase 1: observation assembly --------------------------------------
     if plan is None:
@@ -371,7 +439,6 @@ def batch_assess(
     # Per-repetition aggregates of the bulk noise stream.
     gaps = offsets[1:] - offsets[:-1]
     has_noise = (gaps > 0).tolist()
-    total = int(offsets[-1])
     tsel = T % sel.n_entries
     tset = T % bit.n_sets
     ttag = (T // bit.n_sets) & bit._tag_mask
@@ -384,35 +451,31 @@ def batch_assess(
     noise_tag = tags.tolist()
 
     # -- phase 2: tracked-entry table evolution -----------------------------
+    # Both schedules first, then the block's rows of their tracked
+    # entries in one fetch, then the level read-out.  Noise branches
+    # index the bimodal table by plain modulo whatever the preset's
+    # hash, as apply_noise_draw does, and step both PHTs with the
+    # bimodal table.
     executed = ~static
-    step_noise = fsm_b.step_table  # noise steps both PHTs with this table
-    # Noise branches index the bimodal table by plain modulo whatever the
-    # preset's hash, as apply_noise_draw does.
+    sched_b = _node_schedule(
+        b_idx, executed, outcomes, bulk.addresses % n_b, bulk.outcomes,
+        noise_epoch, d, n_b,
+    )
+    sched_g = _node_schedule(
+        g_idx, executed, outcomes, bulk.gshare_indices, bulk.outcomes,
+        noise_epoch, d, n_g,
+    )
+    rows_b, rows_g, tsel_touched, block_tag = _block_footprint(
+        block, words, predictor, T, sched_b, sched_g
+    )
+    step_noise = fsm_b.step_table
     read_b = _read_levels(
-        bimodal.levels,
-        fsm_b.step_table,
-        step_noise,
-        compiled.bimodal_map,
-        b_idx,
-        executed,
-        outcomes,
-        bulk.addresses % n_b if total else np.empty(0, dtype=np.int64),
-        bulk.outcomes,
-        noise_epoch,
-        d,
+        bimodal.levels, fsm_b.step_table, step_noise, rows_b, sched_b, R2,
+        n_slots,
     )
     read_g = _read_levels(
-        gshare.levels,
-        fsm_g.step_table,
-        step_noise,
-        compiled.gshare_map,
-        g_idx,
-        executed,
-        outcomes,
-        bulk.gshare_indices,
-        bulk.outcomes,
-        noise_epoch,
-        d,
+        gshare.levels, fsm_g.step_table, step_noise, rows_g, sched_g, R2,
+        n_slots,
     )
 
     # -- phase 3: prediction chain ------------------------------------------
@@ -422,12 +485,8 @@ def batch_assess(
     sel_initial = sel._initial
     sel_max = sel.max_counter
     sel_threshold = sel.gshare_threshold
-    touched = compiled.selector_touched
-    tsel_touched = bool((touched == tsel).any()) if len(touched) else False
     bit_valid = bool(bit.valid[tset])
     bit_tag = int(bit.tags[tset])
-    covering = np.nonzero(compiled.bit_sets == tset)[0]
-    block_tag = int(compiled.bit_tags[covering[-1]]) if len(covering) else None
 
     static_rows = static.tolist()
     out_rows = outcomes.tolist()
@@ -460,7 +519,7 @@ def batch_assess(
             bit_tag = ttag
         if tsel_touched:
             sel_val = sel_initial
-        if block_tag is not None:
+        if block_tag >= 0:
             bit_valid = True
             bit_tag = block_tag
         if has_noise[r]:
@@ -509,7 +568,7 @@ def batch_assess(
     tt_pattern, tt_freq = _dominant_counts(Counter(patterns[:R]), R)
     nn_pattern, nn_freq = _dominant_counts(Counter(patterns[R:]), R)
     return BlockAssessment(
-        seed=compiled.block.seed,
+        seed=seed,
         tt_pattern=tt_pattern,
         tt_frequency=tt_freq,
         nn_pattern=nn_pattern,
@@ -593,10 +652,7 @@ def _stream_loop(core, spy, T, R, plan, noise, rng, ghr_end):
                     draw = plan.noise_draw(r)
                 if draw.n > 0:
                     draws[r] = draw
-                    value = 0
-                    for outcome in draw.outcomes[-ghr_len:].tolist():
-                        value = (value << 1) | int(outcome)
-                    ghr_val = value
+                    ghr_val = history_value(draw.outcomes[-ghr_len:])
             if hooked and suppresses(spy, T):
                 row_static[j] = True
             else:

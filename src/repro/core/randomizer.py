@@ -31,7 +31,9 @@ an odd ``n`` carries its leftover half into the second draw), but it is
 tied to the bit-generator stream, which NEP 19 keeps stable across numpy
 versions, rather than to ``Generator.integers``, which it does not.  The
 manycore engine hands the halves straight to
-:func:`repro.kernels.summarize_block`, which decodes them inline.
+:func:`repro.kernels.summarize_block`, which decodes them inline, and a
+:class:`BlockSummary` carries a block to the per-trial batch assessor the
+same way: by ``(seed, n, base)``, never generated or compiled.
 
 Fast path
 ---------
@@ -83,6 +85,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import kernels
+from repro.bpu.ghr import history_value
 from repro.bpu.hashes import apply_hash, fold_history
 from repro.cpu.core import BranchExecution, PhysicalCore
 from repro.cpu.counters import CounterKind
@@ -93,6 +96,7 @@ from repro.snapshot import sorted_unique
 __all__ = [
     "RandomizationBlock",
     "CompiledBlock",
+    "BlockSummary",
     "DEFAULT_BLOCK_BASE",
     "block_words",
     "decode_block",
@@ -251,6 +255,39 @@ def decode_block(
     np.cumsum(addresses, out=addresses)
     outcomes = (words[n : 2 * n] >> 31).astype(bool)
     return addresses, outcomes
+
+
+@dataclass(frozen=True)
+class BlockSummary:
+    """A generated block carried by identity alone: ``(seed, n, base)``.
+
+    The vectorised assessor's second block source, next to
+    :class:`CompiledBlock`.  The assessor reads only a handful of values
+    from a block — the target's bimodal row, a few gshare rows, one
+    selector bit, one BIT tag and ``ghr_end`` — and a summary computes
+    exactly those from :meth:`words` (``ghr_end`` from the last
+    direction halves, the rest in one
+    :func:`repro.kernels.summarize_block` call), so nothing is compiled,
+    cached or stored.  It is valid only on the assessor's closed-form
+    front end; see :func:`repro.core.calibration.assess_block_batch`.
+    """
+
+    seed: int
+    n_branches: int = PAPER_BLOCK_BRANCHES
+    base: int = DEFAULT_BLOCK_BASE
+
+    def words(self) -> np.ndarray:
+        """The block's raw uint32 halves (:func:`block_words`)."""
+        return block_words(self.seed, self.n_branches)
+
+    def ghr_end(self, words: np.ndarray, ghr_bits: int) -> int:
+        """GHR after the block: its last ``ghr_bits`` directions.
+
+        Equals :attr:`CompiledBlock.ghr_end` of the generated block;
+        ``words`` are :meth:`words`.
+        """
+        n = self.n_branches
+        return history_value(words[2 * n - min(n, ghr_bits) : 2 * n] >> 31)
 
 
 @dataclass(frozen=True)
@@ -466,15 +503,9 @@ class RandomizationBlock:
             ).astype(np.int64)
         gshare_map = monoid.fold_table(gshare_indices, self.outcomes, gshare_n)
 
-        # Final GHR = the block's last ghr_bits outcomes (newest in the
-        # LSB); at most ghr_bits bits enter, so no mask is needed.
-        tail = self.outcomes[-ghr_bits:].astype(np.int64)
-        final_ghr = int(
-            tail
-            @ np.left_shift(
-                np.int64(1), np.arange(len(tail) - 1, -1, -1, dtype=np.int64)
-            )
-        )
+        # Final GHR = the block's last ghr_bits outcomes; at most
+        # ghr_bits bits enter, so no mask is needed.
+        final_ghr = history_value(self.outcomes[-ghr_bits:])
 
         n = len(self)
         selector = predictor.selector
@@ -483,20 +514,8 @@ class RandomizationBlock:
         )
 
         # One (set, tag) per touched BIT set, written by the set's last
-        # branch in program order: fancy assignment with repeated indices
-        # does not promise which duplicate wins, ufunc.at does.
-        bit_table = predictor.bit
-        last_writer = np.full(bit_table.n_sets, -1, dtype=np.int64)
-        np.maximum.at(
-            last_writer,
-            self.addresses % bit_table.n_sets,
-            np.arange(n, dtype=np.int64),
-        )
-        bit_sets = np.flatnonzero(last_writer >= 0)
-        bit_tags = (
-            (self.addresses[last_writer[bit_sets]] // bit_table.n_sets)
-            & bit_table._tag_mask
-        ).astype(np.int64)
+        # branch in program order.
+        bit_sets, bit_tags = predictor.bit.last_writers(self.addresses)
 
         # Deterministic cost estimate: every block branch fetches cold
         # and ~half mispredict (random outcomes vs. randomised PHT).

@@ -25,7 +25,10 @@ Three independent conditions, composed per engine:
   and one node schedule for a whole campaign, so it needs a core
   without mitigations, value-equal FSM specs on both PHTs and no empty
   noise gap (:func:`manycore_fallback_reason`).  The campaign pool adds
-  its own check that the core factory is deterministic.
+  its own check that the core factory is deterministic.  The batch
+  assessor's :class:`~repro.core.randomizer.BlockSummary` source needs
+  the same core (the gap condition aside) plus a trial plan, and raises
+  instead of falling back.
 
 The reason strings (``"mitigation"``, ``"custom_timing"``,
 ``"unshared_structure"``, and the pool's ``"nondeterministic_factory"``)

@@ -2,10 +2,9 @@
 
 A service campaign is the Figure-4 stability workload as a *pure
 function of a plain-data spec*: every trial builds a fresh core from the
-spec's preset, compiles its candidate block (through the process-wide
-LRU and, when configured, the persistent :mod:`repro.store` tier), and
-assesses it with a :class:`~repro.core.calibration.TrialPlan` drawn from
-an RNG spawned off the spec seed **keyed by the trial's global index**::
+spec's preset and assesses its candidate block with a
+:class:`~repro.core.calibration.TrialPlan` drawn from an RNG spawned off
+the spec seed **keyed by the trial's global index**::
 
     np.random.SeedSequence(spec.seed, spawn_key=(index,))
 
@@ -17,6 +16,11 @@ layout* irrelevant here.  Combined with the exact mergeable aggregates
 (:mod:`repro.service.aggregate`), a campaign split into any number of
 shards digests bit-identically to the serial run, RNG stream positions
 included (each trial record embeds its core RNG's post-run digest).
+
+The block is assessed as a :class:`~repro.core.randomizer.BlockSummary`
+— its seed, size and base — so a trial neither generates nor compiles
+it, and no per-trial artifact reaches the process-wide compile cache or
+the persistent store.
 
 Shard results are content-addressed: :func:`shard_store_key` derives a
 :mod:`repro.store` key from the result-shaping spec fields plus the
@@ -35,7 +39,7 @@ import numpy as np
 
 from repro.bpu.presets import PRESETS
 from repro.core.calibration import assess_block_batch, draw_trial_plan
-from repro.core.randomizer import RandomizationBlock
+from repro.core.randomizer import BlockSummary
 from repro.cpu.core import PhysicalCore
 from repro.cpu.process import Process
 from repro.resilience.checkpoint import rng_state_digest
@@ -250,18 +254,17 @@ def _stability_trial(
     """The Figure-4 stability trial: one block assessed on a fresh core.
 
     The scramble/noise randomness comes from the index-keyed spawned
-    stream, the core is rebuilt from the spec, and the compiled block is
-    content-cached; ``rng_digest`` pins the core generator's exact
-    post-trial stream position into the campaign digest.
+    stream and the core is rebuilt from the spec.  The block is never
+    generated or compiled: a :class:`~repro.core.randomizer.BlockSummary`
+    hands the batch engine's closed form the few values it reads, straight
+    from the block's raw words, so nothing is cached or stored per
+    trial.  Neither the plan draw nor the engine touches the core's
+    generator, and ``rng_digest`` pins its exact post-trial stream
+    position into the campaign digest.
     """
     if pre_trial is not None:
         pre_trial(index)
     core = spec.build_core()
-    spy = Process("service-spy")
-    block = RandomizationBlock.generate(
-        spec.seed_start + index, n_branches=spec.block_branches
-    )
-    compiled = block.compile(core, spy)
     child = np.random.SeedSequence(spec.seed, spawn_key=(index,))
     plan = draw_trial_plan(
         np.random.default_rng(child),
@@ -269,8 +272,11 @@ def _stability_trial(
         repetitions=spec.repetitions,
         noise=spec.noise_model(),
     )
+    summary = BlockSummary(
+        spec.seed_start + index, n_branches=spec.block_branches
+    )
     assessment = assess_block_batch(
-        core, spy, compiled, spec.target_address, plan=plan
+        core, Process("service-spy"), summary, spec.target_address, plan=plan
     )
     fsm = core.predictor.bimodal.pht.fsm
     return {

@@ -219,10 +219,6 @@ def serve(
             coordinator, port=port, once=once, poll_seconds=poll_seconds
         )
 
-    # Default-store wiring: every trial, in this process or a forked
-    # trial process, gets the compiled-block LRU's persistent tier.
-    repro_store.configure_store(coordinator.store)
-
     metrics_server = None
     if metrics_port is not None:
         from repro.obs.http import MetricsServer
@@ -245,4 +241,3 @@ def serve(
         coordinator.write_store_stats()
         if metrics_server is not None:
             metrics_server.close()
-        repro_store.configure_store(None)

@@ -325,7 +325,8 @@ def configure_store(
 
     The default store is what the compiled-block and manycore cache
     hooks consult; forked trial workers inherit it through fork, so
-    configuring it in a service parent warms every worker.
+    configuring it in a parent process warms every worker.  ``repro
+    serve`` does not install one: its trials never compile.
     """
     global _DEFAULT_STORE, _ENV_CHECKED
     if store is not None and not isinstance(store, ContentStore):

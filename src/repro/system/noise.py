@@ -27,6 +27,7 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
+from repro.bpu.ghr import history_value
 from repro.cpu.core import PhysicalCore
 from repro.cpu.process import Process
 
@@ -250,16 +251,12 @@ def apply_noise_draw(core: PhysicalCore, draw: NoiseDraw) -> None:
     apply_fsm_steps(predictor.gshare.pht.levels, step_table, gshare_idx, outcomes)
 
     # The last branches leave their history in the GHR.
-    tail = outcomes[-predictor.ghr.length:]
-    ghr_value = 0
-    for bit in tail:
-        ghr_value = (ghr_value << 1) | int(bit)
-    predictor.ghr.set(ghr_value)
+    predictor.ghr.set(history_value(outcomes[-predictor.ghr.length:]))
 
     # Identification-table insertions (may evict attack/victim branches).
+    # A set written many times keeps its last writer's tag.
     bit_table = predictor.bit
-    sets = (addresses % bit_table.n_sets).astype(np.int64)
-    tags = ((addresses // bit_table.n_sets) & bit_table._tag_mask).astype(np.int64)
+    sets, tags = bit_table.last_writers(addresses)
     bit_table.record_touch(sets)
     bit_table.valid[sets] = True
     bit_table.tags[sets] = tags

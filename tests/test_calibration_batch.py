@@ -10,13 +10,21 @@ Three invariants are pinned here:
 * **plan mode** — both engines produce identical assessments from the
   same pre-drawn :class:`TrialPlan`, and the batch engine leaves the
   core untouched (checkpoint-equal before/after);
+* **block sources** — a :class:`BlockSummary` (the block by seed, size
+  and base, never compiled) gives the closed-form front end exactly the
+  assessment a compiled block gives, for generated presets, scales,
+  noise models, block sizes and targets, and is refused anywhere else;
 * **worker-count determinism** — ``stability_experiment`` and
   ``find_block`` return bit-identical results at any ``workers`` count.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.bpu.fsm import skylake_fsm
 from repro.bpu.presets import (
     firestorm_like,
     haswell,
@@ -33,8 +41,9 @@ from repro.core.calibration import (
     stability_experiment,
 )
 from repro.core.calibration import _dominant
+from repro.core.calibration_batch import _block_footprint
 from repro.core.patterns import DecodedState
-from repro.core.randomizer import RandomizationBlock
+from repro.core.randomizer import BlockSummary, RandomizationBlock
 from repro.cpu.core import PhysicalCore
 from repro.cpu.process import Process
 from repro.mitigations import (
@@ -47,6 +56,8 @@ from repro.mitigations import (
     StochasticFSM,
 )
 from repro.parallel import fork_available
+from repro.resilience.checkpoint import rng_state_digest
+from repro.service import CampaignSpec, run_trial
 from repro.system.noise import NoiseModel
 
 PRESETS = {
@@ -226,6 +237,190 @@ class TestPlanDifferential:
             noise=NoiseModel.silent(),
         )
         assert plan.repetitions == 12
+
+
+NOISES = ("isolated", "noisy", "quiesced", "silent")
+
+
+@st.composite
+def summary_cases(draw):
+    """A service-shaped trial: preset, scale, noise, block, target, seeds.
+
+    Block sizes cover one branch, sizes below every preset's
+    ``ghr_bits`` (a partial ``ghr_end``), odd sizes and up to 20k.
+    """
+    return CampaignSpec(
+        preset=draw(st.sampled_from(sorted(PRESETS))),
+        scale=draw(st.sampled_from([1, 8, 16])),
+        noise=draw(st.sampled_from(NOISES)),
+        block_branches=draw(
+            st.one_of(st.integers(1, 30), st.integers(31, 20_000))
+        ),
+        target_address=draw(st.integers(0, (1 << 47) - 1)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        seed_start=draw(st.integers(0, 2**31)),
+        repetitions=draw(st.integers(1, 8)),
+        n_blocks=64,
+    ), draw(st.integers(0, 63))
+
+
+def _plan(spec, core, index):
+    child = np.random.SeedSequence(spec.seed, spawn_key=(index,))
+    return draw_trial_plan(
+        np.random.default_rng(child),
+        core,
+        repetitions=spec.repetitions,
+        noise=spec.noise_model(),
+    )
+
+
+class TestBlockSummary:
+    @given(case=summary_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_summary_trial_equals_compiled_and_scalar(self, case):
+        spec, index = case
+        record = run_trial(spec, index)
+        seed = spec.seed_start + index
+
+        core = spec.build_core()
+        spy = Process("spy")
+        compiled = RandomizationBlock.generate(
+            seed, n_branches=spec.block_branches
+        ).compile(core, spy)
+        batch = assess_block_batch(
+            core, spy, compiled, spec.target_address,
+            plan=_plan(spec, core, index),
+        )
+        fsm = core.predictor.bimodal.pht.fsm
+        assert record == {
+            "index": index,
+            "seed": seed,
+            "tt_pattern": batch.tt_pattern,
+            "tt_frequency": batch.tt_frequency,
+            "nn_pattern": batch.nn_pattern,
+            "nn_frequency": batch.nn_frequency,
+            "stable": batch.stable,
+            "state": batch.decoded(fsm).value,
+            "rng_digest": rng_state_digest(core.rng),
+        }
+
+        scalar_core = spec.build_core()
+        scalar = assess_block(
+            scalar_core, spy, compiled, spec.target_address,
+            plan=_plan(spec, scalar_core, index),
+        )
+        assert scalar == batch
+
+    @given(case=summary_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_footprint_equals_compiled_tables(self, case):
+        """Every value the engine reads from a block, on every entry.
+
+        The summary's gshare rows are asked for the whole table, so the
+        raw-word pass must match the compiled transition map row for
+        row, besides the target's bimodal row, selector touch, BIT tag
+        and ``ghr_end``.
+        """
+        spec, index = case
+        core = spec.build_core()
+        predictor = core.predictor
+        seed = spec.seed_start + index
+        summary = BlockSummary(seed, n_branches=spec.block_branches)
+        compiled = RandomizationBlock.generate(
+            seed, n_branches=spec.block_branches
+        ).compile(core, Process("spy"))
+        words = summary.words()
+        assert summary.ghr_end(words, predictor.ghr.length) == (
+            compiled.ghr_end
+        )
+        n_g = predictor.gshare.pht.n_entries
+        tb = predictor.bimodal.index(spec.target_address, 0, None)
+        sched_b = SimpleNamespace(tracked=np.array([tb]))
+        sched_g = SimpleNamespace(
+            tracked=np.arange(n_g), pos_table=np.arange(n_g)
+        )
+        got = _block_footprint(
+            summary, words, predictor, spec.target_address, sched_b, sched_g
+        )
+        want = _block_footprint(
+            compiled, None, predictor, spec.target_address, sched_b, sched_g
+        )
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert got[2:] == want[2:]
+
+    @given(case=summary_cases(), state_seed=st.integers(0, 2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_summary_from_arbitrary_state(self, case, state_seed):
+        """Scrambled prior predictor state, with the target's selector
+        entry at the gshare threshold and its BIT set holding the
+        target's tag (so gshare rows and the BIT tag reach the probes):
+        same assessment as the compiled block, core left untouched."""
+        spec, index = case
+        T = spec.target_address
+        results = []
+        for source in ("summary", "compiled"):
+            core = spec.build_core()
+            spy = Process("spy")
+            predictor = core.predictor
+            rng = np.random.default_rng(state_seed)
+            predictor.bimodal.pht.randomize(rng)
+            predictor.gshare.pht.randomize(rng)
+            predictor.ghr.set(int(rng.integers(0, 1 << predictor.ghr.length)))
+            sel, bit = predictor.selector, predictor.bit
+            sel.counters[T % sel.n_entries] = sel.gshare_threshold
+            bit.valid[T % bit.n_sets] = True
+            bit.tags[T % bit.n_sets] = (T // bit.n_sets) & bit._tag_mask
+            seed = spec.seed_start + index
+            if source == "summary":
+                block = BlockSummary(seed, n_branches=spec.block_branches)
+            else:
+                block = RandomizationBlock.generate(
+                    seed, n_branches=spec.block_branches
+                ).compile(core, spy)
+            before = core.checkpoint(full=True)
+            assessment = assess_block_batch(
+                core, spy, block, T, plan=_plan(spec, core, index)
+            )
+            assert eq(before, core.checkpoint(full=True))
+            results.append(assessment)
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize(
+        "mitigation",
+        [
+            StaticPredictionForSensitiveBranches(),
+            PhtIndexRandomization(np.random.default_rng(5)),
+            StochasticFSM(0.25),
+        ],
+        ids=["static", "rekey", "stochastic_fsm"],
+    )
+    def test_refused_on_mitigated_core(self, mitigation):
+        core = PhysicalCore(haswell().scaled(16), seed=3)
+        core.install_mitigation(mitigation)
+        plan = draw_trial_plan(np.random.default_rng(0), core, repetitions=4)
+        with pytest.raises(ValueError, match="mitigation"):
+            assess_block_batch(
+                core, Process("spy"), BlockSummary(1, 500), TARGET, plan=plan
+            )
+
+    def test_refused_on_unequal_fsm_specs(self):
+        core = PhysicalCore(haswell().scaled(16), seed=3)
+        core.predictor.gshare.pht.fsm = skylake_fsm()
+        assert core.predictor.gshare.pht.fsm != core.predictor.bimodal.pht.fsm
+        plan = draw_trial_plan(np.random.default_rng(0), core, repetitions=4)
+        with pytest.raises(ValueError, match="unshared_structure"):
+            assess_block_batch(
+                core, Process("spy"), BlockSummary(1, 500), TARGET, plan=plan
+            )
+
+    def test_refused_without_plan(self):
+        core = PhysicalCore(haswell().scaled(16), seed=3)
+        with pytest.raises(ValueError, match="no_plan"):
+            assess_block_batch(
+                core, Process("spy"), BlockSummary(1, 500), TARGET,
+                repetitions=4,
+            )
 
 
 def small_stability(workers, *, fast=True):

@@ -8,8 +8,10 @@ from repro.bpu import haswell
 from repro.bpu.fsm import textbook_2bit_fsm
 from repro.cpu import PhysicalCore, Process
 from repro.system.noise import (
+    NoiseDraw,
     NoiseModel,
     apply_fsm_steps,
+    apply_noise_draw,
     inject_noise,
     noise_branches,
 )
@@ -140,6 +142,38 @@ class TestInjectNoise:
             inject_noise(core, 100, core.rng)
             values.add(core.predictor.ghr.value)
         assert len(values) > 3
+
+    def test_bit_keeps_last_writer_of_repeated_sets(self):
+        """A set written many times in one gap holds its last tag.
+
+        Three sets take ~1000 writes each, every write with a different
+        tag, so any duplicate other than the last would show; the table
+        must equal a sequential per-branch application (as must the
+        GHR).
+        """
+        core = PhysicalCore(haswell().scaled(16), seed=1)
+        bit = core.predictor.bit
+        rng = np.random.default_rng(5)
+        n = 3000
+        sets = rng.choice([1, 5, bit.n_sets - 1], size=n)
+        tags = rng.permutation(n) % (bit._tag_mask + 1)
+        addresses = (sets + tags * bit.n_sets).astype(np.int64)
+        draw = NoiseDraw(
+            n,
+            addresses,
+            rng.integers(0, 2, size=n).astype(bool),
+            rng.integers(0, core.predictor.gshare.pht.n_entries, size=n),
+            rng.integers(-1, 2, size=n),
+        )
+        reference = PhysicalCore(haswell().scaled(16), seed=1).predictor
+        for address, taken in zip(addresses.tolist(), draw.outcomes):
+            reference.bit.insert(address)
+            reference.ghr.shift_in(taken)
+        apply_noise_draw(core, draw)
+        assert (bit.tags == reference.bit.tags).all()
+        assert (bit.valid == reference.bit.valid).all()
+        # The gap's outcome tail is the GHR a per-branch shift leaves.
+        assert core.predictor.ghr.value == reference.ghr.value
 
     def test_can_evict_bit_entries(self):
         core = PhysicalCore(haswell().scaled(16), seed=1)

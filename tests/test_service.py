@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.randomizer import RandomizationBlock
 from repro.obs.http import CONTENT_TYPE, MetricsServer
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import TrialPool
@@ -87,6 +88,154 @@ def run_one_shard(coordinator: Coordinator) -> None:
 def drain(coordinator: Coordinator) -> None:
     """Drain through the in-process worker (single-host ``serve``)."""
     assert run_worker(coordinator, once=True, log=quiet) == 0
+
+
+#: Presets x noise environments of the golden-digest matrix.
+GOLDEN_PRESETS = (
+    "skylake", "haswell", "sandy_bridge", "tage_like", "firestorm_like",
+    "oryon_like",
+)
+GOLDEN_NOISES = ("isolated", "noisy", "quiesced", "silent")
+#: Block sizes cycled through the matrix: one branch, fewer branches
+#: than any preset's history, and odd sizes.
+GOLDEN_SIZES = (1, 7, 300, 2001)
+
+#: ``run_campaign(golden_spec(...)).digest()`` as computed when service
+#: trials still generated and compiled every block.  Never regenerate
+#: these from the code under test: they pin that the compile-free trial
+#: path reproduces the compiled one, RNG positions included.
+GOLDEN_DIGESTS = {
+    "skylake/isolated": (
+        "c86cebbf2be926b2d12a204b124c0260963e6df80c61debaed832f969c60ae63"
+    ),
+    "skylake/noisy": (
+        "85b94fe9710ef6a404437a636859ccd174c76b8e1f1f44702b116f3ad2516c16"
+    ),
+    "skylake/quiesced": (
+        "154aad72453f020908fb82d9eb85af929d6db89beae933e5159a2dd9b20171c9"
+    ),
+    "skylake/silent": (
+        "e229e1c5a3dc11a3496938f43eb6b8fb38492bbd6192659a916df9e318b01cd3"
+    ),
+    "haswell/isolated": (
+        "d0eebbc326715f17c02e0e96d946310a5cd709869fdf51a4993d6d0e84d56ef6"
+    ),
+    "haswell/noisy": (
+        "9ac79667dc8406f59e806e9ed8c57824a2db910720997e7cd9a5560fa117592c"
+    ),
+    "haswell/quiesced": (
+        "3b967e156080f70bc95f40dec542d6774b84d704a65c237e53a2b8ba9ae3d42d"
+    ),
+    "haswell/silent": (
+        "dd26b328ca84294b83a93861d28eb71755837020309c2f6f786bbd68af7600ea"
+    ),
+    "sandy_bridge/isolated": (
+        "25f986e2de98bac5be4ec1cc8f455c68c1e9fa5f8e9fc8439fc560557f7eabdd"
+    ),
+    "sandy_bridge/noisy": (
+        "9ce6a714a74b9c6b211d209c1b38ced572b881c0909e93d5effb82eabfccae86"
+    ),
+    "sandy_bridge/quiesced": (
+        "32635f78c3f90db0f9e078d715c6ecdeba665d35547a11720c35efe0e6bdca1d"
+    ),
+    "sandy_bridge/silent": (
+        "6294a166c36ed6fd77a5a15434a65890012a2d03ab764c74109f48b579e6484f"
+    ),
+    "tage_like/isolated": (
+        "d3a75f9e7ea1cd0f7359c5dd7c1281aa55a6bf0b63c0c93a92f8ce06594c5505"
+    ),
+    "tage_like/noisy": (
+        "80ba6dabb958bc8eb7b6778ee42068bf6836db654749e77f0b8ec9576598f39e"
+    ),
+    "tage_like/quiesced": (
+        "c6ba6e6cef6775724fd9669f8fce446fbfd8293d06e51ea631a624c1068faeed"
+    ),
+    "tage_like/silent": (
+        "bdeffe8945ab19b67b6cf005f93753b2d4f774077091ea82cf0a1e21134fea3f"
+    ),
+    "firestorm_like/isolated": (
+        "0e8545dcffb05a1bc403e5ffd0c905a3f055cf73b3b91fe48a3a21bf9805d378"
+    ),
+    "firestorm_like/noisy": (
+        "4cbce217da3ba31612c2dec7455e99eb1cb929027defbd6c5c5d19127a72266c"
+    ),
+    "firestorm_like/quiesced": (
+        "cbcf2a10b621794f3f4f5ef6023f0b05e53355f101b90ad67f04feb1269bc7a7"
+    ),
+    "firestorm_like/silent": (
+        "646fab19c5d463aa1509bc9e549e79a6f6d72024808c3910c0192c36e03b17ce"
+    ),
+    "oryon_like/isolated": (
+        "4ca6ee511c00baa04d6dc20dc0e37e021fdaa67a45dbe07e6b81501587d287c2"
+    ),
+    "oryon_like/noisy": (
+        "65dfe214243624f574b73f39e3edd06cb92c55aad8162498d7bbb7a8f46f78a4"
+    ),
+    "oryon_like/quiesced": (
+        "e48cfd61f8000ff00cb62af2c451dc1b7aaecf0534dc7003b39182cc81c39694"
+    ),
+    "oryon_like/silent": (
+        "802380840b942a0669f17fbea44fd1b72b8327a7612965e83303d5b9ab808949"
+    ),
+}
+
+
+def golden_spec(preset: str, noise: str) -> CampaignSpec:
+    i = GOLDEN_PRESETS.index(preset)
+    j = GOLDEN_NOISES.index(noise)
+    cell = 4 * i + j
+    return CampaignSpec(
+        name=f"{preset}-{noise}",
+        preset=preset,
+        noise=noise,
+        scale=16,
+        seed=100 + cell,
+        target_address=0x4200 + 0x111 * cell,
+        n_blocks=3,
+        block_branches=GOLDEN_SIZES[(i + j) % 4],
+        repetitions=6,
+        seed_start=10 * cell,
+        shards=1,
+    )
+
+
+class TestGoldenDigests:
+    """Campaign digests pinned across the six presets and four noise
+    environments, and the guarantee that no service trial generates or
+    compiles a block."""
+
+    @pytest.mark.parametrize("noise", GOLDEN_NOISES)
+    @pytest.mark.parametrize("preset", GOLDEN_PRESETS)
+    def test_digest_matrix(self, preset, noise):
+        spec = golden_spec(preset, noise)
+        assert run_campaign(spec).digest() == (
+            GOLDEN_DIGESTS[f"{preset}/{noise}"]
+        )
+
+    def test_trials_never_generate_or_compile(self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a service trial built a block")
+
+        monkeypatch.setattr(
+            RandomizationBlock, "generate", staticmethod(forbidden)
+        )
+        monkeypatch.setattr(RandomizationBlock, "compile", forbidden)
+        specs = [
+            golden_spec(preset, noise)
+            for preset in GOLDEN_PRESETS
+            for noise in GOLDEN_NOISES
+        ]
+        root = tmp_path / "svc"
+        for spec in specs:
+            golden = GOLDEN_DIGESTS[f"{spec.preset}/{spec.noise}"]
+            assert run_campaign(spec).digest() == golden
+            submit_job(root, spec)
+        assert serve(root, once=True, log=quiet) == 0
+        for spec in specs:
+            path = root / "results" / f"{spec.campaign_id()}.json"
+            assert json.loads(path.read_text())["digest"] == (
+                GOLDEN_DIGESTS[f"{spec.preset}/{spec.noise}"]
+            )
 
 
 class TestAccumulators:
