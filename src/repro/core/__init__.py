@@ -27,7 +27,6 @@ from repro.core.attack import BranchScope, SpiedBit
 from repro.core.batch_probe import (
     batch_decode_states,
     batch_probe_signatures,
-    batch_scan_supported,
 )
 from repro.core.btb_attacks import (
     btb_direction_spy,
@@ -64,7 +63,6 @@ from repro.core.prime_probe import prime_direct, prime_sequence_for, probe_pair
 from repro.core.randomizer import CompiledBlock, RandomizationBlock
 from repro.core.support import (
     batch_assess_fallback_reason,
-    batch_assess_supported,
     batch_scan_fallback_reason,
     manycore_fallback_reason,
 )
@@ -94,11 +92,9 @@ __all__ = [
     "assess_block",
     "assess_block_batch",
     "batch_assess_fallback_reason",
-    "batch_assess_supported",
     "batch_decode_states",
     "batch_probe_signatures",
     "batch_scan_fallback_reason",
-    "batch_scan_supported",
     "manycore_fallback_reason",
     "btb_direction_spy",
     "btb_locate_branch",

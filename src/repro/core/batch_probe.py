@@ -36,8 +36,8 @@ Two mitigation hooks can make the observation itself stochastic:
 ``perturb_counter`` (noisy performance counters, §10.2) breaks the
 "pattern == architectural hit/miss" identity, and ``update_outcome``
 (stochastic FSM, §10.2) draws from the core RNG inside training.
-:func:`batch_scan_supported` detects either override and the scan falls
-back to the scalar reference.  Every other shipped mitigation is safe:
+:func:`batch_scan_fallback_reason` names either override and the scan
+falls back to the scalar reference.  Every other shipped mitigation is safe:
 static prediction, PHT index randomisation and BPU partitioning act on
 the *index/suppression* hooks — which the engine replays through a
 pre-pass honouring the scalar call order and multiplicity, so stateful
@@ -60,17 +60,17 @@ import numpy as np
 
 from repro.bpu.hashes import fold_history, index_function
 from repro.core.patterns import DecodedState, state_signatures
-from repro.core.support import batch_scan_supported
+from repro.core.support import batch_scan_fallback_reason
 from repro.cpu.core import PhysicalCore
 from repro.cpu.process import Process
 
 __all__ = [
-    "batch_scan_supported",
+    "batch_scan_fallback_reason",
     "batch_probe_signatures",
     "batch_decode_states",
 ]
 
-# The support predicate (one shared home for every engine's gating
+# The support reason (one shared home for every engine's gating
 # conditions, repro.core.support) is re-exported here because this
 # engine is its original owner and existing callers import it from
 # here.
@@ -228,8 +228,8 @@ def batch_probe_signatures(
     *current* (prepared) state.  The core is not mutated — callers
     restore their own checkpoint as the scalar scan does.
 
-    Only valid when :func:`batch_scan_supported` holds; the caller is
-    responsible for falling back otherwise.
+    Only valid when :func:`batch_scan_fallback_reason` is ``None``; the
+    caller is responsible for falling back otherwise.
     """
     addresses = np.asarray(addresses, dtype=np.int64)
     hooks = _collect_hooks(core, spy, addresses)

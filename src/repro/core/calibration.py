@@ -61,7 +61,6 @@ import numpy as np
 from repro.core.patterns import DecodedState, decode_state
 from repro.core.support import (
     batch_assess_fallback_reason,
-    batch_assess_supported,
     scalar_engine_forced,
 )
 from repro.core.prime_probe import probe_pair
@@ -380,11 +379,12 @@ def assess_block_batch(
     core state *and* the RNG stream positions are all identical, and
     callers may mix the two engines freely.  When a mitigation perturbs
     the observation itself (a stochastic FSM, a noisy counter — the
-    :func:`~repro.core.support.batch_scan_supported` predicate, same
+    ``"mitigation"`` reason of
+    :func:`~repro.core.support.batch_assess_fallback_reason`, same
     contract as the §6.3 batch scan) or the core runs a custom
     :class:`~repro.cpu.timing.TimingModel` subclass (whose draw pattern
     the replay could not mirror), this transparently runs the scalar
-    engine instead.
+    engine instead, recording the reason.
 
     With a pre-drawn ``plan`` there is no stream to replay — the result
     is pinned to :func:`assess_block` with the same plan, the engine
@@ -394,18 +394,21 @@ def assess_block_batch(
 
     ``block`` is a :class:`CompiledBlock`, or — on that plan path,
     without mitigations and with value-equal FSM specs on both PHTs —
-    a :class:`~repro.core.randomizer.BlockSummary`, which the engine
-    reads straight from the block's raw words without compiling it.  A
-    summary never falls back: anywhere else it raises
-    :class:`ValueError`.
+    a :class:`~repro.core.randomizer.BlockSummary`, which runs as a
+    one-instance chunk of the manycore engine's shared structure
+    (:func:`repro.core.manycore.assess_summary`), read straight from the
+    block's raw words without compiling it.  A summary never falls back:
+    anywhere else it raises :class:`ValueError`.
     """
-    if not isinstance(block, BlockSummary) and not batch_assess_supported(
-        core, plan
-    ):
-        obs.record_scalar_fallback(
-            "calibration_batch",
-            batch_assess_fallback_reason(core, plan) or "custom_timing",
-        )
+    if isinstance(block, BlockSummary):
+        from repro.core.manycore import assess_summary
+
+        assessment = assess_summary(core, block, target_address, plan)
+        _trace_assessment("batch", target_address, assessment)
+        return assessment
+    reason = batch_assess_fallback_reason(core, plan)
+    if reason is not None:
+        obs.record_scalar_fallback("calibration_batch", reason)
         return assess_block(
             core,
             spy,
@@ -445,7 +448,6 @@ def find_block(
     seed_start: int = 0,
     rng: Optional[np.random.Generator] = None,
     workers: Optional[int] = None,
-    fast: bool = True,
     with_stats: bool = False,
     checkpoint=None,
     resume: bool = True,
@@ -464,8 +466,8 @@ def find_block(
     By default (``workers=None`` and no ``REPRO_TRIAL_WORKERS``) the
     search walks candidates serially with assessments chained on ``rng``
     (default the core RNG) — the historical behaviour, bit-for-bit.
-    ``fast=False`` forces the scalar assessment engine; the default
-    batch engine is a bit-exact drop-in either way.
+    Candidates are assessed by :func:`assess_block_batch`, a bit-exact
+    drop-in for the scalar :func:`assess_block`.
 
     With ``workers`` given (or the env var set), candidates become
     independent trials fanned across a
@@ -496,7 +498,6 @@ def find_block(
     Raises :class:`CalibrationError` after ``max_candidates`` failures.
     """
     fsm = core.predictor.bimodal.pht.fsm
-    assess = assess_block_batch if fast else assess_block
     desired_name = desired_state.value
     n_workers = resolve_workers(workers)
     pooled = checkpoint is not None or not (
@@ -505,7 +506,7 @@ def find_block(
     # Every pooled assessment carries a plan, so only the mitigation part
     # of the fallback predicate can disable the batch engine there; the
     # serial path (no plan) also falls back on a custom timing model.
-    scalar_forced = fast and scalar_engine_forced(core, pooled=pooled)
+    scalar_forced = scalar_engine_forced(core, pooled=pooled)
     fallbacks_before = obs.scalar_fallback_counts().get("calibration_batch", 0)
     tracer = obs.TRACER
     if tracer is not None:
@@ -516,7 +517,7 @@ def find_block(
             desired=desired_state.value,
             max_candidates=max_candidates,
             workers=n_workers,
-            engine="batch" if fast and not scalar_forced else "scalar",
+            engine="scalar" if scalar_forced else "batch",
         )
 
     def _finish(compiled: CompiledBlock, candidates: int, assessed):
@@ -556,7 +557,7 @@ def find_block(
             if fsm.public_state(int(row[0])).name != desired_name:
                 continue
             compiled = block.compile(core, spy)
-            assessment = assess(
+            assessment = assess_block_batch(
                 core,
                 spy,
                 compiled,
@@ -636,7 +637,7 @@ def find_block(
             repetitions=repetitions,
             noise=noise,
         )
-        assessment = assess(
+        assessment = assess_block_batch(
             trial_core, spy, compiled, target_address, plan=plan
         )
         if assessment.stable and assessment.decoded(fsm) is desired_state:
@@ -696,7 +697,6 @@ def stability_experiment(
     noise: Optional[NoiseModel] = None,
     seed_start: int = 0,
     workers: Optional[int] = None,
-    fast: bool = True,
     checkpoint=None,
     checkpoint_interval: Optional[int] = None,
     resume: bool = True,
@@ -715,7 +715,7 @@ def stability_experiment(
     ``workers`` fans candidates across a
     :class:`~repro.parallel.TrialPool` and the assessment list is
     bit-identical at any worker count, including the serial ``workers=1``
-    loop.  ``fast=False`` forces the scalar assessment engine.
+    loop.
 
     Because every trial is a pure function of its block seed, the sweep
     is also trivially resumable: ``checkpoint`` (a path or
@@ -750,16 +750,9 @@ def stability_experiment(
     """
     if backend not in ("process", "manycore"):
         raise ValueError(f"unknown backend {backend!r}")
-    if backend == "manycore":
-        if pool is not None:
-            raise ValueError("backend='manycore' already supplies the pool")
-        if not fast:
-            raise ValueError(
-                "backend='manycore' is a vectorised engine; use fast=True "
-                "or backend='process' for the scalar engine"
-            )
+    if backend == "manycore" and pool is not None:
+        raise ValueError("backend='manycore' already supplies the pool")
     spy = Process("stability-spy")
-    assess = assess_block_batch if fast else assess_block
 
     def trial(block_seed: int) -> BlockAssessment:
         if pre_trial is not None:
@@ -772,7 +765,9 @@ def stability_experiment(
         plan = draw_trial_plan(
             core.rng, core, repetitions=repetitions, noise=noise
         )
-        return assess(core, spy, compiled, target_address, plan=plan)
+        return assess_block_batch(
+            core, spy, compiled, target_address, plan=plan
+        )
 
     if backend == "manycore":
         from repro.core.manycore import ManycoreCampaignPool

@@ -48,16 +48,12 @@ Three phases:
    FSM step) is a precomputed lookup row; per-entry chains collapse
    under a segmented parallel-prefix scan with no Python loop.  Work is
    proportional to reads plus observable noise hits, not
-   ``repetitions x tracked-entries``.  Both PHTs' node schedules are
-   built first, then the block's rows of their tracked entries are
-   fetched once, then the levels are read.  The rows come from one of
-   two block sources: a :class:`~repro.core.randomizer.CompiledBlock`
-   indexes its whole-table maps (every front end), and a
-   :class:`~repro.core.randomizer.BlockSummary` computes them, with the
-   selector touch, BIT tag and ``ghr_end``, in one
-   :func:`repro.kernels.summarize_block` pass over the block's raw
-   words — on the unmitigated plan front end with value-equal FSM specs
-   only; anywhere else it raises :class:`ValueError`.
+   ``repetitions x tracked-entries``.  The block's rows of the tracked
+   entries are read from the whole-table maps of a
+   :class:`~repro.core.randomizer.CompiledBlock`, the only block this
+   engine takes; a :class:`~repro.core.randomizer.BlockSummary` runs
+   as a one-instance chunk of the manycore engine instead
+   (:func:`repro.core.manycore.assess_summary`).
 
 3. **Prediction chain** (per repetition, Python scalars): evolve the one
    selector counter and identification-table set the target address
@@ -93,7 +89,7 @@ independent of the latency argument.
 from __future__ import annotations
 
 from collections import Counter
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -101,8 +97,7 @@ from repro import kernels
 from repro.bpu.ghr import history_value
 from repro.bpu.hashes import fold_history, index_function
 from repro.core.calibration import BlockAssessment, TrialPlan, _dominant_counts
-from repro.core.randomizer import BlockSummary, CompiledBlock
-from repro.core.support import manycore_fallback_reason
+from repro.core.randomizer import CompiledBlock
 from repro.cpu.core import PhysicalCore
 from repro.cpu.process import Process
 from repro.obs import trace as obs
@@ -297,63 +292,10 @@ def _read_levels(
     return read_flat.reshape(R2, n_slots).tolist()
 
 
-def _block_footprint(
-    block: Union[CompiledBlock, BlockSummary],
-    words: Optional[np.ndarray],
-    predictor,
-    T: int,
-    sched_b: _NodeSchedule,
-    sched_g: _NodeSchedule,
-) -> Tuple[np.ndarray, np.ndarray, bool, int]:
-    """Everything phases 2 and 3 read from the block.
-
-    Returns ``(rows_b, rows_g, tsel_touched, block_tag)``: the
-    transition-map rows of both schedules' tracked entries, whether the
-    block touches the target's selector entry, and the last tag it
-    writes to the target's BIT set (-1 when none).  A
-    :class:`CompiledBlock` indexes its tables; a :class:`BlockSummary`
-    makes one :func:`repro.kernels.summarize_block` pass over ``words``.
-    """
-    tsel = T % predictor.selector.n_entries
-    bit = predictor.bit
-    tset = T % bit.n_sets
-    if not isinstance(block, BlockSummary):
-        covering = np.flatnonzero(block.bit_sets == tset)
-        return (
-            block.bimodal_map[sched_b.tracked],
-            block.gshare_map[sched_g.tracked],
-            bool((block.selector_touched == tsel).any()),
-            int(block.bit_tags[covering[-1]]) if len(covering) else -1,
-        )
-    # The closed form reads one bimodal entry, the target's own.
-    (tb,) = sched_b.tracked
-    monoid = predictor.bimodal.pht.fsm.transition_monoid()
-    bim_id, g_ids, tsel_touched, block_tag = kernels.summarize_block(
-        words,
-        block.base,
-        monoid.outcome_ids.astype(np.int64),
-        monoid.compose_table,
-        predictor.index_hash,
-        predictor.bimodal.pht.n_entries,
-        int(tb),
-        predictor.gshare.pht.n_entries,
-        sched_g.pos_table,
-        predictor.ghr.length,
-        predictor.selector.n_entries,
-        tsel,
-        bit.n_sets,
-        tset,
-        bit._tag_mask,
-        len(sched_g.tracked),
-        monoid.IDENTITY,
-    )
-    return monoid.maps[[bim_id]], monoid.maps[g_ids], tsel_touched, block_tag
-
-
 def batch_assess(
     core: PhysicalCore,
     spy: Process,
-    block: Union[CompiledBlock, BlockSummary],
+    block: CompiledBlock,
     target_address: int,
     *,
     repetitions: int = 100,
@@ -365,32 +307,16 @@ def batch_assess(
 
     Callers should use :func:`repro.core.calibration.assess_block_batch`,
     which applies the supported-configuration predicate before
-    dispatching here.  ``block`` is a :class:`CompiledBlock` on every
-    front end, or a :class:`BlockSummary` on the closed-form one only
-    (a plan, no mitigation, value-equal FSM specs on both PHTs); a
-    summary anywhere else raises :class:`ValueError`.
+    dispatching here.
     """
+    if core.config.name != block.config_name:
+        raise ValueError(
+            "compiled block bound to config "
+            f"{block.config_name!r}, core is {core.config.name!r}"
+        )
     predictor = core.predictor
     ghr_len = predictor.ghr.length
-    if isinstance(block, BlockSummary):
-        reason = "no_plan" if plan is None else manycore_fallback_reason(core)
-        if reason is not None:
-            raise ValueError(
-                "a BlockSummary needs the closed-form front end "
-                f"(plan, no mitigation, equal FSM specs): {reason}"
-            )
-        seed = block.seed
-        words = block.words()
-        ghr_end = block.ghr_end(words, ghr_len)
-    else:
-        if core.config.name != block.config_name:
-            raise ValueError(
-                "compiled block bound to config "
-                f"{block.config_name!r}, core is {core.config.name!r}"
-            )
-        seed = block.block.seed
-        words = None
-        ghr_end = int(block.ghr_end)
+    ghr_end = int(block.ghr_end)
 
     bimodal = predictor.bimodal.pht
     gshare = predictor.gshare.pht
@@ -451,11 +377,9 @@ def batch_assess(
     noise_tag = tags.tolist()
 
     # -- phase 2: tracked-entry table evolution -----------------------------
-    # Both schedules first, then the block's rows of their tracked
-    # entries in one fetch, then the level read-out.  Noise branches
-    # index the bimodal table by plain modulo whatever the preset's
-    # hash, as apply_noise_draw does, and step both PHTs with the
-    # bimodal table.
+    # Noise branches index the bimodal table by plain modulo whatever
+    # the preset's hash, as apply_noise_draw does, and step both PHTs
+    # with the bimodal table.
     executed = ~static
     sched_b = _node_schedule(
         b_idx, executed, outcomes, bulk.addresses % n_b, bulk.outcomes,
@@ -465,20 +389,22 @@ def batch_assess(
         g_idx, executed, outcomes, bulk.gshare_indices, bulk.outcomes,
         noise_epoch, d, n_g,
     )
-    rows_b, rows_g, tsel_touched, block_tag = _block_footprint(
-        block, words, predictor, T, sched_b, sched_g
-    )
     step_noise = fsm_b.step_table
     read_b = _read_levels(
-        bimodal.levels, fsm_b.step_table, step_noise, rows_b, sched_b, R2,
-        n_slots,
+        bimodal.levels, fsm_b.step_table, step_noise,
+        block.bimodal_map[sched_b.tracked], sched_b, R2, n_slots,
     )
     read_g = _read_levels(
-        gshare.levels, fsm_g.step_table, step_noise, rows_g, sched_g, R2,
-        n_slots,
+        gshare.levels, fsm_g.step_table, step_noise,
+        block.gshare_map[sched_g.tracked], sched_g, R2, n_slots,
     )
 
     # -- phase 3: prediction chain ------------------------------------------
+    # The block resets any selector entry it touches and writes its last
+    # tag into each identification set it covers.
+    tsel_touched = bool((block.selector_touched == tsel).any())
+    covering = np.flatnonzero(block.bit_sets == tset)
+    block_tag = int(block.bit_tags[covering[-1]]) if len(covering) else -1
     predicts_b = [bool(fsm_b.predicts(lv)) for lv in range(fsm_b.n_levels)]
     predicts_g = [bool(fsm_g.predicts(lv)) for lv in range(fsm_g.n_levels)]
     sel_val = int(sel.counters[tsel])
@@ -568,7 +494,7 @@ def batch_assess(
     tt_pattern, tt_freq = _dominant_counts(Counter(patterns[:R]), R)
     nn_pattern, nn_freq = _dominant_counts(Counter(patterns[R:]), R)
     return BlockAssessment(
-        seed=seed,
+        seed=block.block.seed,
         tt_pattern=tt_pattern,
         tt_frequency=tt_freq,
         nn_pattern=nn_pattern,

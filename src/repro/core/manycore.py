@@ -42,12 +42,19 @@ reference trial, ``pre_trial`` included) before the caller's function
 takes over, so a stateful factory sees the same call sequence under
 either backend.  The dispatch split is observable through
 :func:`group_batch_stats`.
+
+The same structure also runs one trial: :func:`assess_summary` (what
+:func:`~repro.core.calibration.assess_block_batch` does with a
+:class:`~repro.core.randomizer.BlockSummary`, i.e. every service
+stability trial) builds it from the trial's own core and plan with the
+block's real ``ghr_end`` and base, so zero-gap plans are exact there,
+and assesses the block as a chunk of one.
 """
 
 from __future__ import annotations
 
 import copy
-import hashlib
+import functools
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,13 +72,13 @@ from repro.core.calibration_batch import (
 )
 from repro.core.randomizer import (
     DEFAULT_BLOCK_BASE,
+    BlockSummary,
     RandomizationBlock,
     block_words,
 )
 from repro.core.support import manycore_fallback_reason
 from repro.cpu.core import PhysicalCore
 from repro import kernels
-from repro import store as repro_store
 from repro.cpu.process import Process
 from repro.obs import trace as obs
 from repro.resilience.checkpoint import rng_state_digest
@@ -79,6 +86,7 @@ from repro.system.noise import NoiseModel
 
 __all__ = [
     "ManycoreCampaignPool",
+    "assess_summary",
     "group_batch_stats",
     "reset_group_batch_stats",
 ]
@@ -125,6 +133,32 @@ def reset_group_batch_stats() -> None:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _id_tables(fsm, width: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``fsm``'s transition monoid as the flat int64 tables the id-space
+    kernel reads: ``POW[element, k]`` for ``k < width`` (row stride
+    ``width``), the compose table and the level maps.
+
+    Between consecutive nodes at one entry the block fold applies once
+    per crossed epoch, so each node's jump is (block fold)^k; the dense
+    power table turns the whole lifting pass into one flat gather.
+    Widths are powers of two, so every node plan of a process shares a
+    few tables.
+    """
+    monoid = fsm.transition_monoid()
+    size = len(monoid.maps)
+    pow_table = np.empty((size, width), dtype=np.int64)
+    pow_table[:, 0] = monoid.IDENTITY
+    elements = np.arange(size)
+    for k in range(1, width):
+        pow_table[:, k] = monoid.compose_table[pow_table[:, k - 1], elements]
+    return (
+        pow_table.ravel(),
+        monoid.compose_table.astype(np.int64).ravel(),
+        monoid.maps.astype(np.int64).ravel(),
+    )
+
+
 class _NodePlan:
     """The instance-independent half of phase 2, for one PHT.
 
@@ -146,7 +180,7 @@ class _NodePlan:
 
     def __init__(
         self,
-        monoid,
+        fsm,
         initial_levels: np.ndarray,
         idx: np.ndarray,
         outcomes: np.ndarray,
@@ -158,11 +192,8 @@ class _NodePlan:
     ) -> None:
         R2, n_slots = idx.shape
         self.shape = (R2, n_slots)
-        self.monoid = monoid
-        size = len(monoid.maps)
-        self._ct_flat = monoid.compose_table.astype(np.int64).ravel()
-        self._ct_size = size
-        self._maps_flat = monoid.maps.astype(np.int64).ravel()
+        monoid = fsm.transition_monoid()
+        self._ct_size = len(monoid.maps)
         self._n_levels = monoid.n_levels
 
         schedule = _node_schedule(
@@ -179,21 +210,12 @@ class _NodePlan:
         self.pos_table = schedule.pos_table
         self.n_nodes = len(schedule.p_sorted)
 
-        # Between consecutive nodes at one entry the block fold applies
-        # once per crossed epoch, so each node's jump is (block fold)^k
-        # with k = remaining[node].  The batch engine binary-lifts this
-        # per trial; here the monoid is tiny, so a dense power table
-        # ``POW[element, k]`` turns the whole lifting pass into one flat
-        # gather per chunk.
         remaining = schedule.remaining
         k_max = int(remaining.max()) if self.n_nodes else 0
-        pow_table = np.empty((size, k_max + 1), dtype=np.int64)
-        pow_table[:, 0] = monoid.IDENTITY
-        elements = np.arange(size)
-        for k in range(1, k_max + 1):
-            pow_table[:, k] = monoid.compose_table[pow_table[:, k - 1], elements]
-        self._pow_flat = pow_table.ravel()
-        self._pow_k = k_max + 1
+        self._pow_k = 1 << k_max.bit_length()
+        self._pow_flat, self._ct_flat, self._maps_flat = _id_tables(
+            fsm, self._pow_k
+        )
         self.p_sorted = schedule.p_sorted
         self.remaining = remaining
 
@@ -239,15 +261,23 @@ class _NodePlan:
 
 
 class _SharedStructure:
-    """Everything a stability campaign shares across its trials."""
+    """Everything a stability campaign shares across its trials.
+
+    ``ghr_end`` is the GHR a block application leaves behind; only a
+    repetition with an empty noise gap reads it, so a campaign (whose
+    plan has none) passes a placeholder and a one-block structure
+    (:func:`assess_summary`) passes its block's.  ``base`` is the
+    blocks' first branch address.
+    """
 
     def __init__(
         self,
         template: PhysicalCore,
         target_address: int,
         plan: TrialPlan,
-        rng_digest: str,
         block_branches: int,
+        ghr_end: int,
+        base: int,
     ) -> None:
         predictor = template.predictor
         bimodal = predictor.bimodal.pht
@@ -260,8 +290,8 @@ class _SharedStructure:
         R2 = 2 * R
 
         self.plan = plan
-        self.rng_digest = rng_digest
         self.block_branches = int(block_branches)
+        self.base = int(base)
         self.fsm = fsm
         self.monoid = fsm.transition_monoid()
         self.d = fsm.n_levels
@@ -286,15 +316,16 @@ class _SharedStructure:
         self.bit_valid0 = bool(bit.valid[self.tset])
         self.bit_tag0 = int(bit.tags[self.tset])
 
-        # Phase 1 (closed form) — identical for every trial.  ghr_end is
-        # only consumed by repetitions with an empty noise gap, which the
-        # support predicate excludes, so a placeholder is exact here.
+        # Phase 1 (closed form) — identical for every trial.
         static, outcomes, b_idx, g_idx, offsets, bulk = _closed_form(
             self.plan, T, R, self.n_b, self.n_g,
-            int(predictor.ghr.value), 0, self.ghr_len, self.index_hash,
+            int(predictor.ghr.value), int(ghr_end), self.ghr_len,
+            self.index_hash,
         )
         self.outcomes = outcomes
-        epoch_of = np.repeat(np.arange(R2), offsets[1:] - offsets[:-1])
+        gaps = offsets[1:] - offsets[:-1]
+        has_noise = gaps > 0
+        epoch_of = np.repeat(np.arange(R2), gaps)
 
         drift, noise_tag = _noise_aggregates(
             bulk, epoch_of, R2, self.n_sel, self.tsel, self.n_sets,
@@ -306,7 +337,7 @@ class _SharedStructure:
         # Phase-2 node plans (one per PHT); noise branches index the
         # bimodal table by plain modulo, as apply_noise_draw does.
         self.plan_b = _NodePlan(
-            self.monoid,
+            fsm,
             bimodal.levels,
             b_idx,
             outcomes,
@@ -317,7 +348,7 @@ class _SharedStructure:
             self.n_b,
         )
         self.plan_g = _NodePlan(
-            self.monoid,
+            fsm,
             gshare.levels,
             g_idx,
             outcomes,
@@ -332,50 +363,30 @@ class _SharedStructure:
         self.predicts = fsm._predict_arr
         self.predicts_list = [bool(fsm.predicts(lv)) for lv in range(self.d)]
         self.taken_probe = np.arange(R2) < R  # outcome of both probe slots
-        sel1 = np.clip(self.sel_initial + drift, 0, 3)
+        # Noise squeezes every selector counter into [0, 3] (see
+        # apply_noise_draw); a repetition without noise leaves it alone.
+        sel1 = np.where(
+            has_noise, np.clip(self.sel_initial + drift, 0, 3), self.sel_initial
+        )
         self.sel1 = sel1
         self.sel1_up = np.minimum(sel1 + 1, self.sel_max)
         self.sel1_down = np.maximum(sel1 - 1, 0)
+        self.gshare1 = sel1 >= self.sel_threshold
         self.out_rows = outcomes.tolist()
         # Invariants of the scalar replay chain, hoisted once per
         # campaign: plain-int lists beat per-repetition numpy scalar
         # indexing by an order of magnitude in the untouched-selector
         # loop.
-        self.drift_list = [int(v) for v in drift]
-        self.noise_list = [int(v) for v in noise_tag]
+        self.has_noise = has_noise.tolist()
+        self.drift_list = drift.tolist()
+        self.noise_list = noise_tag.tolist()
         self._oid = self.monoid.outcome_ids.astype(np.int64)
-
-        # Content digest of the summary computation: everything
-        # ``summarize`` reads besides the block seed.  The persistent
-        # store hook in ``assess_chunk`` caches per-chunk block
-        # summaries under it, so a warm service process skips the
-        # summarize kernel entirely for repeated campaigns.
-        sh = hashlib.blake2b(digest_size=16)
-        for arr in (
-            self._oid,
-            self.monoid.compose_table,
-            self.plan_g.pos_table,
-        ):
-            a = np.ascontiguousarray(arr)
-            sh.update(str(a.shape).encode())
-            sh.update(a.tobytes())
-        sh.update(
-            str(
-                (
-                    self.n_b, self.tb, self.n_g, self.ghr_len,
-                    self.n_sel, self.tsel, self.n_sets, self.tset,
-                    int(self.tag_mask), self.plan_g.n_tracked,
-                    int(self.monoid.IDENTITY), self.block_branches,
-                    self.index_hash, kernels.active_backend(),
-                )
-            ).encode()
-        )
-        self.summary_digest = sh.hexdigest()
 
     # -- per-trial summary --------------------------------------------------
 
-    def summarize(self, seed: int) -> Tuple[int, np.ndarray, bool, int]:
-        """One block's campaign-relevant footprint.
+    def summarize(self, words: np.ndarray) -> Tuple[int, np.ndarray, bool, int]:
+        """One block's campaign-relevant footprint, from its raw words
+        (:func:`~repro.core.randomizer.block_words`).
 
         Returns ``(bimodal_id, gshare_ids, tsel_touched, block_tag)``:
         the target bimodal entry's fold id, the fold id per tracked
@@ -390,8 +401,8 @@ class _SharedStructure:
         # block and runs the same reductions as separate vectorised
         # passes — bit-identical either way).
         return kernels.summarize_block(
-            block_words(seed, self.block_branches),
-            DEFAULT_BLOCK_BASE,
+            words,
+            self.base,
             self._oid,
             self.monoid.compose_table,
             self.index_hash,
@@ -431,6 +442,7 @@ class _SharedStructure:
         sel_val = self.sel_val0
         bit_valid = self.bit_valid0
         bit_tag = self.bit_tag0
+        has_noise = self.has_noise
         drift_list = self.drift_list
         noise_list = self.noise_list
         out_rows = self.out_rows
@@ -459,11 +471,12 @@ class _SharedStructure:
             if block_tag >= 0:
                 bit_valid = True
                 bit_tag = block_tag
-            value = sel_val + drift_list[r]
-            sel_val = 0 if value < 0 else (3 if value > 3 else value)
-            if noise_list[r] >= 0:
-                bit_valid = True
-                bit_tag = noise_list[r]
+            if has_noise[r]:
+                value = sel_val + drift_list[r]
+                sel_val = 0 if value < 0 else (3 if value > 3 else value)
+                if noise_list[r] >= 0:
+                    bit_valid = True
+                    bit_tag = noise_list[r]
             code = 0
             for slot, j in enumerate((d, d + 1)):
                 taken = bool(row_out[j])
@@ -499,61 +512,28 @@ class _SharedStructure:
         pre_trial: Optional[Callable[[int], None]],
     ) -> List[BlockAssessment]:
         """Assess one chunk of block seeds through the stacked pipeline."""
-        chunk = len(seeds)
-        lift_b = np.empty((chunk, 1), dtype=np.int64)
-        lift_g = np.empty((chunk, self.plan_g.n_tracked), dtype=np.int64)
-        touched = np.empty(chunk, dtype=bool)
-        block_tags = np.empty(chunk, dtype=np.int64)
-        codes = np.empty((chunk, self.R2), dtype=np.int64)
-        # Persistent-store hook: the per-seed summaries are a pure
-        # function of (structure digest, seed), so a whole chunk's worth
-        # is content-addressed and cached.  ``pre_trial`` still runs per
-        # seed on a hit — it is a chaos/observability hook, not part of
-        # the summary.
-        store = repro_store.get_store()
-        cache_key = None
-        cached = None
-        if store is not None:
-            cache_key = repro_store.store_key(
-                "manycore_summary",
-                structure=self.summary_digest,
-                seeds=tuple(int(s) for s in seeds),
-            )
-            found, value = store.get(cache_key)
-            if (
-                found
-                and isinstance(value, dict)
-                and value.get("lift_g") is not None
-                and value["lift_g"].shape == lift_g.shape
-            ):
-                cached = value
-        if cached is not None:
+        summaries = []
+        for seed in seeds:
             if pre_trial is not None:
-                for seed in seeds:
-                    pre_trial(seed)
-            lift_b[:] = cached["lift_b"]
-            lift_g[:] = cached["lift_g"]
-            touched[:] = cached["touched"]
-            block_tags[:] = cached["block_tags"]
-        else:
-            for i, seed in enumerate(seeds):
-                if pre_trial is not None:
-                    pre_trial(seed)
-                bim_id, g_ids, tsel_touched, block_tag = self.summarize(seed)
-                lift_b[i, 0] = bim_id
-                lift_g[i] = g_ids
-                touched[i] = tsel_touched
-                block_tags[i] = block_tag
-            if cache_key is not None:
-                store.put(
-                    cache_key,
-                    {
-                        "lift_b": lift_b,
-                        "lift_g": lift_g,
-                        "touched": touched,
-                        "block_tags": block_tags,
-                    },
-                )
+                pre_trial(seed)
+            summaries.append(
+                self.summarize(block_words(seed, self.block_branches))
+            )
+        return self.assess_summaries(seeds, summaries)
+
+    def assess_summaries(
+        self, seeds: Sequence[int], summaries: Sequence[tuple]
+    ) -> List[BlockAssessment]:
+        """Phases 2 and 3 for a chunk of :meth:`summarize` results."""
+        chunk = len(seeds)
+        bim_ids, g_ids, touched, block_tags = zip(*summaries)
+        lift_b = np.array(bim_ids, dtype=np.int64).reshape(chunk, 1)
+        lift_g = np.array(g_ids, dtype=np.int64).reshape(
+            chunk, self.plan_g.n_tracked
+        )
+        touched = np.array(touched, dtype=bool)
+        block_tags = np.array(block_tags, dtype=np.int64)
+        codes = np.empty((chunk, self.R2), dtype=np.int64)
 
         read_b = self.plan_b.read_levels(lift_b)
         read_g = self.plan_g.read_levels(lift_g)
@@ -564,41 +544,34 @@ class _SharedStructure:
             # The block resets the target's chooser entry every
             # repetition, so nothing carries between repetitions and the
             # whole chain vectorises: chooser after noise drift is a
-            # shared (R2,) vector, and the per-instance part is just the
-            # identification tag entering the first probe.
-            pred_b1 = self.predicts[read_b[fast, :, d]]
-            pred_g1 = self.predicts[read_g[fast, :, d]]
-            pred_b2 = self.predicts[read_b[fast, :, d + 1]]
-            pred_g2 = self.predicts[read_g[fast, :, d + 1]]
-            taken = self.taken_probe[None, :]
-            tag1 = np.where(
-                self.noise_tag[None, :] >= 0,
-                self.noise_tag[None, :],
-                np.where(
-                    block_tags[fast, None] >= 0,
-                    block_tags[fast, None],
-                    self.ttag,
-                ),
+            # shared (R2,) vector, and the per-instance part is just
+            # whether the identification tag entering the first probe is
+            # the target's — the repetition's last noise tag if any, else
+            # the block's last tag if any, else the scrambles' own.
+            taken = self.taken_probe
+            pred_b = self.predicts[read_b[fast, :, d:]]
+            pred_g = self.predicts[read_g[fast, :, d:]]
+            block_tag = block_tags[fast, None]
+            known1 = np.where(
+                self.noise_tag >= 0,
+                self.noise_tag == self.ttag,
+                (block_tag < 0) | (block_tag == self.ttag),
             )
-            known1 = tag1 == self.ttag
-            use_gshare1 = known1 & (self.sel1[None, :] >= self.sel_threshold)
-            miss1 = np.where(use_gshare1, pred_g1, pred_b1) != taken
-            b_ok = pred_b1 == taken
-            g_ok = pred_g1 == taken
+            b_ok = pred_b[:, :, 0] == taken
+            g_ok = pred_g[:, :, 0] == taken
+            miss1 = ~np.where(known1 & self.gshare1, g_ok, b_ok)
             sel2 = np.where(
                 known1,
                 np.where(
                     b_ok != g_ok,
-                    np.where(
-                        g_ok, self.sel1_up[None, :], self.sel1_down[None, :]
-                    ),
-                    self.sel1[None, :],
+                    np.where(g_ok, self.sel1_up, self.sel1_down),
+                    self.sel1,
                 ),
                 self.sel_initial,
             )
             # Probe 1 re-identifies the branch, so probe 2 always knows it.
             miss2 = np.where(
-                sel2 >= self.sel_threshold, pred_g2, pred_b2
+                sel2 >= self.sel_threshold, pred_g[:, :, 1], pred_b[:, :, 1]
             ) != taken
             codes[fast] = miss1 * 2 + miss2
 
@@ -607,30 +580,63 @@ class _SharedStructure:
                 read_b[i], read_g[i], int(block_tags[i])
             )
 
-        out: List[BlockAssessment] = []
-        counts_tt = np.stack(
-            [(codes[:, : self.R] == c).sum(axis=1) for c in range(4)], axis=1
-        )
-        counts_nn = np.stack(
-            [(codes[:, self.R:] == c).sum(axis=1) for c in range(4)], axis=1
-        )
-        # max over (count, pattern): patterns are in lexicographic order,
-        # so scaling counts by 4 and adding the code reproduces the
-        # scalar tie-break exactly.
-        rank = np.arange(4)[None, :]
-        best_tt = np.argmax(counts_tt * 4 + rank, axis=1)
-        best_nn = np.argmax(counts_nn * 4 + rank, axis=1)
-        for i, seed in enumerate(seeds):
-            out.append(
-                BlockAssessment(
-                    seed=seed,
-                    tt_pattern=_PATTERNS[best_tt[i]],
-                    tt_frequency=int(counts_tt[i, best_tt[i]]) / self.R,
-                    nn_pattern=_PATTERNS[best_nn[i]],
-                    nn_frequency=int(counts_nn[i, best_nn[i]]) / self.R,
-                )
+        # Pattern counts per (instance, variant), TT then NN.  Max over
+        # (count, pattern): patterns are in lexicographic order, so
+        # scaling counts by 4 and adding the code reproduces the scalar
+        # tie-break exactly.
+        rank = np.arange(4)
+        counts = (codes.reshape(chunk, 2, self.R, 1) == rank).sum(axis=2)
+        best = np.argmax(counts * 4 + rank, axis=2)
+        top = np.take_along_axis(counts, best[:, :, None], axis=2)
+        return [
+            BlockAssessment(
+                seed=seed,
+                tt_pattern=_PATTERNS[tt],
+                tt_frequency=n_tt / self.R,
+                nn_pattern=_PATTERNS[nn],
+                nn_frequency=n_nn / self.R,
             )
-        return out
+            for seed, (tt, nn), ((n_tt,), (n_nn,)) in zip(
+                seeds, best.tolist(), top.tolist()
+            )
+        ]
+
+
+def assess_summary(
+    core: PhysicalCore,
+    summary: BlockSummary,
+    target_address: int,
+    plan: Optional[TrialPlan],
+) -> BlockAssessment:
+    """One block, assessed as a one-instance chunk of its own structure.
+
+    The closed form of a single trial on ``core`` (whatever its prior
+    predictor state) is a :class:`_SharedStructure` built from that core
+    and ``plan``, with the block's own ``ghr_end`` — so zero-gap plans
+    are exact here — and base.  The block's raw words are generated once
+    and feed both ``ghr_end`` and the summary.  Where the closed form is
+    inexact (no plan, any mitigation, value-unequal FSM specs) this
+    raises :class:`ValueError` instead of falling back.
+    """
+    reason = "no_plan" if plan is None else manycore_fallback_reason(core)
+    if reason is not None:
+        raise ValueError(
+            "a BlockSummary needs the closed-form front end "
+            f"(plan, no mitigation, equal FSM specs): {reason}"
+        )
+    words = summary.words()
+    structure = _SharedStructure(
+        core,
+        target_address,
+        plan,
+        summary.n_branches,
+        ghr_end=summary.ghr_end(words, core.predictor.ghr.length),
+        base=summary.base,
+    )
+    (assessment,) = structure.assess_summaries(
+        [summary.seed], [structure.summarize(words)]
+    )
+    return assessment
 
 
 class ManycoreCampaignPool:
@@ -675,6 +681,7 @@ class ManycoreCampaignPool:
         self.noise = noise
         self.pre_trial = pre_trial
         self._shared: Optional[_SharedStructure] = None
+        self._rng_digest: Optional[str] = None
         self._fallback_reason: Optional[str] = None
         self._built = False
         self._banked: List[PhysicalCore] = []
@@ -685,7 +692,7 @@ class ManycoreCampaignPool:
         """Stream-position digest every trial's factory RNG ends at
         (``None`` for a delegated campaign)."""
         self._ensure_built()
-        return self._shared.rng_digest if self._shared else None
+        return self._rng_digest
 
     def _get_spy(self) -> Process:
         if self._spy is None:
@@ -721,13 +728,16 @@ class ManycoreCampaignPool:
                 template, plan.offsets[1:] - plan.offsets[:-1]
             )
             if reason is None:
+                # No empty gap, so no repetition reads ghr_end.
                 self._shared = _SharedStructure(
                     template,
                     self.target_address,
                     plan,
-                    rng_state_digest(rng),
                     self.block_branches,
+                    ghr_end=0,
+                    base=DEFAULT_BLOCK_BASE,
                 )
+                self._rng_digest = rng_state_digest(rng)
                 self._banked = []
         self._fallback_reason = reason
 

@@ -28,10 +28,9 @@ import numpy as np
 from repro.core.batch_probe import (
     batch_decode_states,
     batch_probe_signatures,
-    batch_scan_supported,
+    batch_scan_fallback_reason,
 )
 from repro.core.patterns import DecodedState, decode_state
-from repro.core.support import batch_scan_fallback_reason
 from repro.core.prime_probe import probe_pair
 from repro.core.randomizer import CompiledBlock
 from repro.cpu.core import PhysicalCore
@@ -88,7 +87,7 @@ def scan_states(
     (:mod:`repro.core.batch_probe`), ``"reference"`` runs the scalar
     probe/restore loop, and ``"auto"`` (default) uses the batch engine
     whenever it is exact for the installed mitigations
-    (:func:`~repro.core.batch_probe.batch_scan_supported`) and falls
+    (:func:`~repro.core.batch_probe.batch_scan_fallback_reason`) and falls
     back to the reference otherwise.  The two engines return identical
     state vectors — pinned differentially in
     ``tests/test_batch_probe.py``.
@@ -100,20 +99,17 @@ def scan_states(
     """
     if method not in ("auto", "batch", "reference"):
         raise ValueError(f"unknown scan method {method!r}")
-    supported = batch_scan_supported(core)
-    if method == "batch" and not supported:
+    reason = batch_scan_fallback_reason(core)
+    if method == "batch" and reason is not None:
         raise ValueError(
             "batch scan is not exact for this core "
-            f"({batch_scan_fallback_reason(core)}: an installed mitigation's "
-            "noisy counters / stochastic FSM, or a non-modulo index hash); "
-            "use method='auto'"
+            f"({reason}: an installed mitigation's noisy counters / "
+            "stochastic FSM); use method='auto'"
         )
-    if method == "reference" or not supported:
+    if method == "reference" or reason is not None:
         fallbacks = 0
         if method == "auto":
-            obs.record_scalar_fallback(
-                "batch_probe", batch_scan_fallback_reason(core) or "mitigation"
-            )
+            obs.record_scalar_fallback("batch_probe", reason)
             fallbacks = 1
         return ScanResult(
             scan_states_reference(

@@ -32,8 +32,8 @@ tied to the bit-generator stream, which NEP 19 keeps stable across numpy
 versions, rather than to ``Generator.integers``, which it does not.  The
 manycore engine hands the halves straight to
 :func:`repro.kernels.summarize_block`, which decodes them inline, and a
-:class:`BlockSummary` carries a block to the per-trial batch assessor the
-same way: by ``(seed, n, base)``, never generated or compiled.
+:class:`BlockSummary` carries a single trial's block to it the same way:
+by ``(seed, n, base)``, never generated or compiled.
 
 Fast path
 ---------
@@ -261,15 +261,16 @@ def decode_block(
 class BlockSummary:
     """A generated block carried by identity alone: ``(seed, n, base)``.
 
-    The vectorised assessor's second block source, next to
-    :class:`CompiledBlock`.  The assessor reads only a handful of values
-    from a block — the target's bimodal row, a few gshare rows, one
-    selector bit, one BIT tag and ``ghr_end`` — and a summary computes
-    exactly those from :meth:`words` (``ghr_end`` from the last
-    direction halves, the rest in one
-    :func:`repro.kernels.summarize_block` call), so nothing is compiled,
-    cached or stored.  It is valid only on the assessor's closed-form
-    front end; see :func:`repro.core.calibration.assess_block_batch`.
+    What :func:`repro.core.calibration.assess_block_batch` takes instead
+    of a :class:`CompiledBlock` to assess one block without compiling
+    it.  The closed form reads only a handful of values from a block —
+    the target's bimodal row, a few gshare rows, one selector bit, one
+    BIT tag and ``ghr_end`` — and a summary computes exactly those from
+    :meth:`words` (``ghr_end`` from the last direction halves, the rest
+    in one :func:`repro.kernels.summarize_block` call), so nothing is
+    compiled, cached or stored.  It runs as a one-instance chunk of the
+    manycore engine (:func:`repro.core.manycore.assess_summary`), on the
+    closed-form preconditions only.
     """
 
     seed: int

@@ -1,12 +1,13 @@
-"""Shared engine-support predicates.
+"""Shared engine-support conditions.
 
 Every vectorised engine in the repo (the §6.3 batch probe scan, the
 calibration batch assessor, the manycore struct-of-arrays campaign
 backend) is an *exactness-gated* fast path: it runs only when it can be
-bit-identical to the scalar reference, and falls back otherwise.  The
-gating conditions used to live as near-duplicated predicates inside each
-engine; this module is now the single home for them, so a new
-disqualifier is added exactly once and every engine picks it up.
+bit-identical to the scalar reference, and falls back otherwise.  This
+module is the single home for the gating conditions, one function per
+engine condition returning the reason the engine would fall back
+(``None`` when it is exact), so a new disqualifier is added exactly
+once and every caller records the reason it tested.
 
 The preset's PHT index hash is *not* a condition: every engine and
 kernel computes its PHT indices through :mod:`repro.bpu.hashes`, so the
@@ -25,10 +26,11 @@ Three independent conditions, composed per engine:
   and one node schedule for a whole campaign, so it needs a core
   without mitigations, value-equal FSM specs on both PHTs and no empty
   noise gap (:func:`manycore_fallback_reason`).  The campaign pool adds
-  its own check that the core factory is deterministic.  The batch
-  assessor's :class:`~repro.core.randomizer.BlockSummary` source needs
-  the same core (the gap condition aside) plus a trial plan, and raises
-  instead of falling back.
+  its own check that the core factory is deterministic.  A
+  :class:`~repro.core.randomizer.BlockSummary` trial runs as a
+  one-instance chunk of that engine: it needs the same core (the gap
+  condition aside, since its structure carries the block's own
+  ``ghr_end``) plus a trial plan, and raises instead of falling back.
 
 The reason strings (``"mitigation"``, ``"custom_timing"``,
 ``"unshared_structure"``, and the pool's ``"nondeterministic_factory"``)
@@ -49,9 +51,7 @@ from repro.mitigations.base import Mitigation
 __all__ = [
     "OBSERVATION_HOOKS",
     "observation_hooks_clean",
-    "batch_scan_supported",
     "batch_scan_fallback_reason",
-    "batch_assess_supported",
     "batch_assess_fallback_reason",
     "scalar_engine_forced",
     "manycore_fallback_reason",
@@ -71,39 +71,27 @@ def observation_hooks_clean(core: PhysicalCore) -> bool:
     return True
 
 
-def batch_scan_supported(core: PhysicalCore) -> bool:
-    """Whether the batch probe engine is exact for this core.
-
-    True iff no installed mitigation overrides a hook that perturbs the
-    probe *observation* (counter noise) or the training outcome
-    (stochastic FSM).  Index/suppression mitigation hooks are handled
-    exactly by the engine's pre-pass and do not disqualify.
-    """
-    return observation_hooks_clean(core)
-
-
 def batch_scan_fallback_reason(core: PhysicalCore) -> Optional[str]:
-    """Why the batch probe engine would fall back (``None`` = it won't)."""
+    """Why the batch probe engine would fall back (``None`` = it won't).
+
+    ``"mitigation"`` when an installed mitigation overrides a hook that
+    perturbs the probe *observation* (counter noise) or the training
+    outcome (stochastic FSM).  Index/suppression mitigation hooks are
+    handled exactly by the engine's pre-pass and do not disqualify.
+    """
     if not observation_hooks_clean(core):
         return "mitigation"
     return None
 
 
-def batch_assess_supported(core: PhysicalCore, plan=None) -> bool:
-    """Whether the vectorised calibration assessor is exact for this core.
-
-    On top of :func:`batch_scan_supported`, the assessor samples probe
-    timing itself, so without a pre-drawn trial plan it also requires the
-    base :class:`~repro.cpu.timing.TimingModel` (an exact subclass could
-    draw differently and shift the RNG stream).
-    """
-    return batch_scan_supported(core) and (
-        plan is not None or type(core.timing) is TimingModel
-    )
-
-
 def batch_assess_fallback_reason(core: PhysicalCore, plan=None) -> Optional[str]:
-    """Why the vectorised assessor would fall back (``None`` = it won't)."""
+    """Why the vectorised assessor would fall back (``None`` = it won't).
+
+    On top of :func:`batch_scan_fallback_reason`, the assessor samples
+    probe timing itself, so without a pre-drawn trial plan it also needs
+    the base :class:`~repro.cpu.timing.TimingModel` (a subclass could
+    draw differently and shift the RNG stream): ``"custom_timing"``.
+    """
     reason = batch_scan_fallback_reason(core)
     if reason is not None:
         return reason
@@ -118,9 +106,8 @@ def scalar_engine_forced(core: PhysicalCore, *, pooled: bool) -> bool:
     The fast path needs the batch assessor; a pooled run pre-draws trial
     plans (so a custom timing model is fine), a non-pooled run does not.
     """
-    return not (
-        batch_scan_supported(core)
-        and (type(core.timing) is TimingModel or pooled)
+    return batch_scan_fallback_reason(core) is not None or (
+        not pooled and type(core.timing) is not TimingModel
     )
 
 

@@ -256,9 +256,9 @@ def _stability_trial(
     The scramble/noise randomness comes from the index-keyed spawned
     stream and the core is rebuilt from the spec.  The block is never
     generated or compiled: a :class:`~repro.core.randomizer.BlockSummary`
-    hands the batch engine's closed form the few values it reads, straight
-    from the block's raw words, so nothing is cached or stored per
-    trial.  Neither the plan draw nor the engine touches the core's
+    runs as a one-instance chunk of the manycore engine's closed form,
+    which reads the few values it needs straight from the block's raw
+    words, so nothing is cached or stored per trial.  Neither the plan draw nor the engine touches the core's
     generator, and ``rng_digest`` pins its exact post-trial stream
     position into the campaign digest.
     """

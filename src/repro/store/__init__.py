@@ -3,9 +3,7 @@
 The hot artifacts of a campaign are pure functions of their inputs: a
 compiled randomisation block is determined by ``(block content, core
 geometry, mitigation view, timing, kernel backend)``, a calibration
-shard's result by ``(campaign spec, seed range)``, the manycore engine's
-per-trial block summaries by ``(structure digest, seeds)``.  The
-in-process compile LRU already exploits this within one process; this
+shard's result by ``(campaign spec, seed range)``.  The in-process compile LRU already exploits this within one process; this
 module generalises it across processes, users and machine restarts with
 a **two-tier content-addressed store**:
 
@@ -33,8 +31,9 @@ kind on the ``/metrics`` endpoint.
 
 A process-wide default store (:func:`configure_store` /
 :func:`get_store`, or the ``REPRO_STORE_DIR`` env var) is what the
-compile and manycore cache hooks consult; with none configured those
-paths behave exactly as before this module existed.
+compile cache hook consults; with none configured compiling behaves
+exactly as before this module existed.  The service passes its store
+explicitly and never installs it as the default.
 """
 
 from __future__ import annotations
@@ -106,7 +105,7 @@ def store_key(kind: str, **parts: Any) -> str:
     """Content key: blake2b over the kind tag and canonical key parts.
 
     ``kind`` namespaces the artifact family (``"compiled_block"``,
-    ``"shard_result"``, ``"manycore_summary"`` in-tree) and is folded
+    ``"shard_result"`` in-tree) and is folded
     into the digest *and* kept as a readable prefix, so the disk tier is
     browsable and per-kind stats stay attributable.
     """

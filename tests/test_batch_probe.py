@@ -21,7 +21,7 @@ from repro.bpu.presets import (
     skylake,
     tage_like,
 )
-from repro.core.batch_probe import batch_scan_supported
+from repro.core.batch_probe import batch_scan_fallback_reason
 from repro.core.pht_map import scan_states, scan_states_reference
 from repro.core.randomizer import RandomizationBlock
 from repro.cpu.core import PhysicalCore
@@ -201,14 +201,14 @@ class TestFallback:
     def test_observation_mitigations_disable_batch(self, mitigation):
         core = make_core("skylake")
         core.install_mitigation(mitigation)
-        assert not batch_scan_supported(core)
+        assert batch_scan_fallback_reason(core) == "mitigation"
 
     def test_safe_mitigations_keep_batch(self):
         core = make_core("skylake")
         spy = Process("spy")
         install(core, spy, "stacked")
         core.install_mitigation(NoisyTimer(sigma=10.0))
-        assert batch_scan_supported(core)
+        assert batch_scan_fallback_reason(core) is None
 
     def test_forcing_batch_under_noisy_counters_raises(self):
         core = make_core("haswell")

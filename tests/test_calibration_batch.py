@@ -11,14 +11,15 @@ Three invariants are pinned here:
   same pre-drawn :class:`TrialPlan`, and the batch engine leaves the
   core untouched (checkpoint-equal before/after);
 * **block sources** — a :class:`BlockSummary` (the block by seed, size
-  and base, never compiled) gives the closed-form front end exactly the
-  assessment a compiled block gives, for generated presets, scales,
-  noise models, block sizes and targets, and is refused anywhere else;
+  and base, never compiled; it runs on the manycore engine's
+  one-instance path) gives exactly the assessment the block generated
+  at that base and compiled gives, for generated presets, scales, noise
+  models, block sizes, bases and targets, and is refused anywhere else;
 * **worker-count determinism** — ``stability_experiment`` and
   ``find_block`` return bit-identical results at any ``workers`` count.
 """
 
-from types import SimpleNamespace
+import dataclasses
 
 import numpy as np
 import pytest
@@ -40,10 +41,14 @@ from repro.core.calibration import (
     find_block,
     stability_experiment,
 )
+from repro import kernels
 from repro.core.calibration import _dominant
-from repro.core.calibration_batch import _block_footprint
 from repro.core.patterns import DecodedState
-from repro.core.randomizer import BlockSummary, RandomizationBlock
+from repro.core.randomizer import (
+    DEFAULT_BLOCK_BASE,
+    BlockSummary,
+    RandomizationBlock,
+)
 from repro.cpu.core import PhysicalCore
 from repro.cpu.process import Process
 from repro.mitigations import (
@@ -244,12 +249,13 @@ NOISES = ("isolated", "noisy", "quiesced", "silent")
 
 @st.composite
 def summary_cases(draw):
-    """A service-shaped trial: preset, scale, noise, block, target, seeds.
+    """A service-shaped trial: preset, scale, noise, block, target, seeds,
+    plus a block base (the service's default or any other).
 
     Block sizes cover one branch, sizes below every preset's
     ``ghr_bits`` (a partial ``ghr_end``), odd sizes and up to 20k.
     """
-    return CampaignSpec(
+    spec = CampaignSpec(
         preset=draw(st.sampled_from(sorted(PRESETS))),
         scale=draw(st.sampled_from([1, 8, 16])),
         noise=draw(st.sampled_from(NOISES)),
@@ -261,7 +267,11 @@ def summary_cases(draw):
         seed_start=draw(st.integers(0, 2**31)),
         repetitions=draw(st.integers(1, 8)),
         n_blocks=64,
-    ), draw(st.integers(0, 63))
+    )
+    base = draw(
+        st.one_of(st.just(DEFAULT_BLOCK_BASE), st.integers(0, (1 << 47) - 1))
+    )
+    return spec, draw(st.integers(0, 63)), base
 
 
 def _plan(spec, core, index):
@@ -278,76 +288,89 @@ class TestBlockSummary:
     @given(case=summary_cases())
     @settings(max_examples=60, deadline=None)
     def test_summary_trial_equals_compiled_and_scalar(self, case):
-        spec, index = case
-        record = run_trial(spec, index)
+        """A summary at any base assesses as the block generated at that
+        base and compiled, on the batch and the scalar engine; at the
+        default base that is also the service trial's record."""
+        spec, index, base = case
         seed = spec.seed_start + index
-
+        T = spec.target_address
         core = spec.build_core()
         spy = Process("spy")
-        compiled = RandomizationBlock.generate(
-            seed, n_branches=spec.block_branches
-        ).compile(core, spy)
-        batch = assess_block_batch(
-            core, spy, compiled, spec.target_address,
+        summary = assess_block_batch(
+            core, spy, BlockSummary(seed, spec.block_branches, base), T,
             plan=_plan(spec, core, index),
         )
-        fsm = core.predictor.bimodal.pht.fsm
-        assert record == {
-            "index": index,
-            "seed": seed,
-            "tt_pattern": batch.tt_pattern,
-            "tt_frequency": batch.tt_frequency,
-            "nn_pattern": batch.nn_pattern,
-            "nn_frequency": batch.nn_frequency,
-            "stable": batch.stable,
-            "state": batch.decoded(fsm).value,
-            "rng_digest": rng_state_digest(core.rng),
-        }
+        compiled = RandomizationBlock.generate(
+            seed, n_branches=spec.block_branches, base_address=base
+        ).compile(core, spy)
+        batch = assess_block_batch(
+            core, spy, compiled, T, plan=_plan(spec, core, index)
+        )
+        assert summary == batch
 
         scalar_core = spec.build_core()
         scalar = assess_block(
-            scalar_core, spy, compiled, spec.target_address,
+            scalar_core, spy, compiled, T,
             plan=_plan(spec, scalar_core, index),
         )
         assert scalar == batch
+
+        if base == DEFAULT_BLOCK_BASE:
+            fsm = core.predictor.bimodal.pht.fsm
+            assert run_trial(spec, index) == {
+                "index": index,
+                "seed": seed,
+                "tt_pattern": batch.tt_pattern,
+                "tt_frequency": batch.tt_frequency,
+                "nn_pattern": batch.nn_pattern,
+                "nn_frequency": batch.nn_frequency,
+                "stable": batch.stable,
+                "state": batch.decoded(fsm).value,
+                "rng_digest": rng_state_digest(core.rng),
+            }
 
     @given(case=summary_cases())
     @settings(max_examples=60, deadline=None)
     def test_footprint_equals_compiled_tables(self, case):
         """Every value the engine reads from a block, on every entry.
 
-        The summary's gshare rows are asked for the whole table, so the
+        ``summarize_block`` is asked for the whole gshare table, so the
         raw-word pass must match the compiled transition map row for
         row, besides the target's bimodal row, selector touch, BIT tag
         and ``ghr_end``.
         """
-        spec, index = case
+        spec, index, base = case
         core = spec.build_core()
         predictor = core.predictor
+        T = spec.target_address
         seed = spec.seed_start + index
-        summary = BlockSummary(seed, n_branches=spec.block_branches)
+        summary = BlockSummary(seed, spec.block_branches, base)
         compiled = RandomizationBlock.generate(
-            seed, n_branches=spec.block_branches
+            seed, n_branches=spec.block_branches, base_address=base
         ).compile(core, Process("spy"))
         words = summary.words()
         assert summary.ghr_end(words, predictor.ghr.length) == (
             compiled.ghr_end
         )
+        monoid = predictor.bimodal.pht.fsm.transition_monoid()
         n_g = predictor.gshare.pht.n_entries
-        tb = predictor.bimodal.index(spec.target_address, 0, None)
-        sched_b = SimpleNamespace(tracked=np.array([tb]))
-        sched_g = SimpleNamespace(
-            tracked=np.arange(n_g), pos_table=np.arange(n_g)
+        tb = predictor.bimodal.index(T, 0, None)
+        sel, bit = predictor.selector, predictor.bit
+        tsel, tset = T % sel.n_entries, T % bit.n_sets
+        bim_id, g_ids, touched, block_tag = kernels.summarize_block(
+            words, base, monoid.outcome_ids.astype(np.int64),
+            monoid.compose_table, predictor.index_hash,
+            predictor.bimodal.pht.n_entries, tb, n_g, np.arange(n_g),
+            predictor.ghr.length, sel.n_entries, tsel, bit.n_sets, tset,
+            bit._tag_mask, n_g, monoid.IDENTITY,
         )
-        got = _block_footprint(
-            summary, words, predictor, spec.target_address, sched_b, sched_g
+        assert np.array_equal(monoid.maps[bim_id], compiled.bimodal_map[tb])
+        assert np.array_equal(monoid.maps[g_ids], compiled.gshare_map)
+        assert bool(touched) == bool((compiled.selector_touched == tsel).any())
+        covering = np.flatnonzero(compiled.bit_sets == tset)
+        assert int(block_tag) == (
+            int(compiled.bit_tags[covering[-1]]) if len(covering) else -1
         )
-        want = _block_footprint(
-            compiled, None, predictor, spec.target_address, sched_b, sched_g
-        )
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
-        assert got[2:] == want[2:]
 
     @given(case=summary_cases(), state_seed=st.integers(0, 2**31))
     @settings(max_examples=40, deadline=None)
@@ -356,7 +379,7 @@ class TestBlockSummary:
         entry at the gshare threshold and its BIT set holding the
         target's tag (so gshare rows and the BIT tag reach the probes):
         same assessment as the compiled block, core left untouched."""
-        spec, index = case
+        spec, index, base = case
         T = spec.target_address
         results = []
         for source in ("summary", "compiled"):
@@ -373,10 +396,10 @@ class TestBlockSummary:
             bit.tags[T % bit.n_sets] = (T // bit.n_sets) & bit._tag_mask
             seed = spec.seed_start + index
             if source == "summary":
-                block = BlockSummary(seed, n_branches=spec.block_branches)
+                block = BlockSummary(seed, spec.block_branches, base)
             else:
                 block = RandomizationBlock.generate(
-                    seed, n_branches=spec.block_branches
+                    seed, n_branches=spec.block_branches, base_address=base
                 ).compile(core, spy)
             before = core.checkpoint(full=True)
             assessment = assess_block_batch(
@@ -385,6 +408,36 @@ class TestBlockSummary:
             assert eq(before, core.checkpoint(full=True))
             results.append(assessment)
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("n_branches", [40, 300])
+    def test_silent_plan_keeps_selector_above_noise_clamp(self, n_branches):
+        """Noise squeezes the selector into [0, 3]; a repetition without
+        noise must not.  A chooser that starts at its maximum (above the
+        clamp) on silent plans, through both phase-3 paths: 40-branch
+        blocks miss the target's selector entry, and some 300-branch
+        ones reset it while leaving the target identified."""
+        config = dataclasses.replace(haswell().scaled(16), selector_initial=7)
+        spy = Process("spy")
+        for seed in range(24):
+            target = 0x30_0006D + 97 * seed
+            results = []
+            for source in ("summary", "compiled", "scalar"):
+                core = PhysicalCore(config, seed=seed)
+                plan = draw_trial_plan(
+                    np.random.default_rng(seed), core, repetitions=6,
+                    noise=NoiseModel.silent(),
+                )
+                if source == "summary":
+                    block = BlockSummary(seed, n_branches)
+                else:
+                    block = RandomizationBlock.generate(
+                        seed, n_branches=n_branches
+                    ).compile(core, spy)
+                engine = assess_block if source == "scalar" else (
+                    assess_block_batch
+                )
+                results.append(engine(core, spy, block, target, plan=plan))
+            assert results[0] == results[1] == results[2]
 
     @pytest.mark.parametrize(
         "mitigation",
@@ -423,7 +476,7 @@ class TestBlockSummary:
             )
 
 
-def small_stability(workers, *, fast=True):
+def small_stability(workers):
     return stability_experiment(
         lambda: PhysicalCore(haswell().scaled(16), seed=6),
         0x30_0006D,
@@ -432,7 +485,6 @@ def small_stability(workers, *, fast=True):
         repetitions=16,
         noise=NoiseModel.isolated(),
         workers=workers,
-        fast=fast,
     )
 
 
@@ -445,7 +497,22 @@ class TestWorkerDeterminism:
         assert small_stability(4) == serial
 
     def test_stability_engines_agree(self):
-        assert small_stability(1, fast=False) == small_stability(1, fast=True)
+        """The batch engine behind ``small_stability`` against the scalar
+        one: same seeds, same fresh cores, same plans."""
+        spy = Process("spy")
+        scalar = []
+        for seed in range(8):
+            core = PhysicalCore(haswell().scaled(16), seed=6)
+            compiled = RandomizationBlock.generate(
+                seed, n_branches=1200
+            ).compile(core, spy)
+            plan = draw_trial_plan(
+                core.rng, core, repetitions=16, noise=NoiseModel.isolated()
+            )
+            scalar.append(
+                assess_block(core, spy, compiled, 0x30_0006D, plan=plan)
+            )
+        assert small_stability(1) == scalar
 
     @pytest.mark.skipif(
         not fork_available(), reason="platform cannot fork workers"

@@ -38,6 +38,7 @@ from repro.core.manycore import (
 )
 from repro.core.randomizer import (
     RandomizationBlock,
+    block_words,
     clear_compile_cache,
     compile_cache_info,
 )
@@ -163,7 +164,10 @@ class TestOpDifferential:
         per_backend = {}
         for backend in BACKENDS:
             kernels.set_backend(backend)
-            summaries = [shared.summarize(seed) for seed in range(4)]
+            summaries = [
+                shared.summarize(block_words(seed, shared.block_branches))
+                for seed in range(4)
+            ]
             reads = shared.plan_g.read_levels(lift)
             per_backend[backend] = (summaries, reads)
         ref_summaries, ref_reads = per_backend["numpy"]
@@ -196,7 +200,8 @@ class TestOpDifferential:
         for backend in BACKENDS:
             kernels.set_backend(backend)
             per_backend[backend] = [
-                shared.summarize(seed) for seed in range(6)
+                shared.summarize(block_words(seed, shared.block_branches))
+                for seed in range(6)
             ]
         for backend in BACKENDS:
             for got, ref in zip(per_backend[backend], per_backend["numpy"]):

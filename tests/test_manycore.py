@@ -6,8 +6,6 @@ RNG positions) that the per-trial path produces, across presets, noise
 models, checkpoint interruptions, and every fallback branch.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -125,16 +123,6 @@ class TestDifferential:
         with pytest.raises(ValueError, match="unknown backend"):
             stability_experiment(
                 small_factory(skylake), TARGET, n_blocks=1, backend="gpu"
-            )
-
-    def test_manycore_rejects_scalar_engine(self):
-        with pytest.raises(ValueError, match="fast=True"):
-            stability_experiment(
-                small_factory(skylake),
-                TARGET,
-                n_blocks=1,
-                fast=False,
-                backend="manycore",
             )
 
 
@@ -420,30 +408,3 @@ class TestCodesScalarHoist:
             assert np.array_equal(
                 shared._codes_scalar(row_b, row_g, tag), codes
             )
-
-
-class TestSummaryDigest:
-    def test_index_hash_is_part_of_the_store_key(self):
-        """The store caches block summaries under ``summary_digest``.
-        Two presets that differ only in index hash can share the target
-        bimodal entry and the tracked gshare entries (here the target's
-        fold bits are zero, so both hashes agree on every probe index)
-        while a random block's summary differs; they must not share a
-        store entry."""
-        config = skylake().scaled(16)
-        shared = {}
-        for index_hash in ("mod", "fold"):
-            variant = dataclasses.replace(config, index_hash=index_hash)
-            pool = ManycoreCampaignPool(
-                lambda variant=variant: PhysicalCore(variant, seed=7),
-                TARGET,
-                block_branches=2500,
-                repetitions=10,
-                noise=NoiseModel.isolated(),
-            )
-            pool._ensure_built()
-            shared[index_hash] = pool._shared
-        mod, fold = shared["mod"], shared["fold"]
-        assert mod.tb == fold.tb
-        assert np.array_equal(mod.plan_g.pos_table, fold.plan_g.pos_table)
-        assert mod.summary_digest != fold.summary_digest

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import calibration_batch
 from repro.core.randomizer import RandomizationBlock
 from repro.obs.http import CONTENT_TYPE, MetricsServer
 from repro.obs.metrics import MetricsRegistry
@@ -202,7 +203,7 @@ def golden_spec(preset: str, noise: str) -> CampaignSpec:
 class TestGoldenDigests:
     """Campaign digests pinned across the six presets and four noise
     environments, and the guarantee that no service trial generates or
-    compiles a block."""
+    compiles a block, or runs the per-trial batch engine."""
 
     @pytest.mark.parametrize("noise", GOLDEN_NOISES)
     @pytest.mark.parametrize("preset", GOLDEN_PRESETS)
@@ -214,12 +215,13 @@ class TestGoldenDigests:
 
     def test_trials_never_generate_or_compile(self, tmp_path, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("a service trial built a block")
+            raise AssertionError("a service trial left the manycore path")
 
         monkeypatch.setattr(
             RandomizationBlock, "generate", staticmethod(forbidden)
         )
         monkeypatch.setattr(RandomizationBlock, "compile", forbidden)
+        monkeypatch.setattr(calibration_batch, "batch_assess", forbidden)
         specs = [
             golden_spec(preset, noise)
             for preset in GOLDEN_PRESETS

@@ -3,8 +3,8 @@
 Covers key derivation stability, the two-tier lookup path (memory hit /
 disk hit / miss, with per-tier stats), corruption quarantine, size-budget
 eviction, the process-default plumbing (``configure_store`` and the
-``REPRO_STORE_DIR`` env var), and the two in-tree cache hooks: the
-compiled-block LRU's persistent tier and the manycore summary cache.
+``REPRO_STORE_DIR`` env var), and the in-tree cache hook: the
+compiled-block LRU's persistent tier.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import pytest
 
 from repro import store as repro_store
 from repro.bpu import skylake
-from repro.core.manycore import ManycoreCampaignPool
 from repro.core.randomizer import (
     RandomizationBlock,
     clear_compile_cache,
@@ -224,25 +223,3 @@ class TestCompileCachePersistentTier:
         stats = store.stats_dict()
         assert stats["puts"] == 1
         assert stats["misses"] == 1
-
-
-class TestManycoreSummaryCache:
-    def _run(self):
-        def factory():
-            return PhysicalCore(skylake().scaled(16), seed=7)
-
-        pool = ManycoreCampaignPool(
-            factory, 0x4200, block_branches=2_000, repetitions=10
-        )
-        return pool.map(None, range(12))
-
-    def test_summary_cache_is_exact_and_hits(self, tmp_path):
-        reference = self._run()  # no store configured
-        store = configure_store(tmp_path / "s")
-        assert self._run() == reference  # cold: misses, then puts
-        cold = store.stats_dict()
-        assert cold["puts"] >= 1
-        assert self._run() == reference  # warm: served from the store
-        warm = store.stats_dict()
-        assert warm["memory_hits"] > cold["memory_hits"]
-        assert warm["puts"] == cold["puts"]

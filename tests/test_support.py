@@ -1,9 +1,10 @@
-"""Shared engine-support predicates (:mod:`repro.core.support`).
+"""Shared engine-support conditions (:mod:`repro.core.support`).
 
-Each vectorised engine gates itself on the same two condition
-families — observation hooks, timing/plan — through this one module,
-so the unit tests pin the predicates directly and then cross-check that
-the engines' historical entry points still re-export them.
+Each vectorised engine gates itself on the same condition families —
+observation hooks, timing/plan, shared structure — through the reason
+functions of this one module, so the unit tests pin the reasons
+directly and then cross-check that the engines' historical entry points
+still re-export them.
 """
 
 import numpy as np
@@ -12,9 +13,7 @@ import pytest
 from repro.bpu.presets import haswell, oryon_like
 from repro.core.support import (
     batch_assess_fallback_reason,
-    batch_assess_supported,
     batch_scan_fallback_reason,
-    batch_scan_supported,
     manycore_fallback_reason,
     observation_hooks_clean,
     scalar_engine_forced,
@@ -57,7 +56,6 @@ class TestObservationHooks:
         core = _core()
         core.install_mitigation(mitigation())
         assert not observation_hooks_clean(core)
-        assert not batch_scan_supported(core)
         assert batch_scan_fallback_reason(core) == "mitigation"
 
 
@@ -74,7 +72,6 @@ class TestIndexHash:
 class TestTimingAndPlan:
     def test_base_timing_supported(self):
         core = _core()
-        assert batch_assess_supported(core)
         assert batch_assess_fallback_reason(core) is None
 
     def test_custom_timing_needs_a_plan(self):
@@ -82,10 +79,8 @@ class TestTimingAndPlan:
             pass
 
         core = _core(timing=SlowTiming())
-        assert not batch_assess_supported(core)
         assert batch_assess_fallback_reason(core) == "custom_timing"
         # A pre-drawn plan removes the sampling concern entirely.
-        assert batch_assess_supported(core, plan=object())
         assert batch_assess_fallback_reason(core, plan=object()) is None
         # find_block's gate mirrors this: pooled runs pre-draw plans.
         assert scalar_engine_forced(core, pooled=False)
@@ -116,10 +111,16 @@ class TestReExports:
     def test_batch_probe_reexport(self):
         from repro.core import batch_probe
 
-        assert batch_probe.batch_scan_supported is batch_scan_supported
+        assert (
+            batch_probe.batch_scan_fallback_reason
+            is batch_scan_fallback_reason
+        )
 
     def test_core_package_reexport(self):
         from repro import core
 
-        assert core.batch_scan_supported is batch_scan_supported
+        assert core.batch_scan_fallback_reason is batch_scan_fallback_reason
+        assert (
+            core.batch_assess_fallback_reason is batch_assess_fallback_reason
+        )
         assert core.manycore_fallback_reason is manycore_fallback_reason
